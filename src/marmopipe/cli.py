@@ -2,10 +2,11 @@
 
 The pipeline runs stage (a) flat-field + stitching, (b) injection-site
 localization, (c) tracer segmentation, (d) mapping to reference space and
-(e) connectivity, entirely file-driven: every stage reads its inputs from
-and writes its outputs to the run directory, is skipped when its outputs
-are newer than its inputs, and appends a ``stage=... status=... seconds=...``
-line (plus a content hash of its outputs) to the run report.
+(e) connectivity, entirely file-driven: each stage reads and writes files in
+the run directory, is skipped only when its outputs exist, no stage it needs
+ran and its key in ``stages.json`` (a sha256 of its config values, the size
+and mtime of the files they name, and the keys of the stages it needs) is
+unchanged, and appends a ``stage=... status=... seconds=... hash=...`` line.
 
 Configuration files are line-oriented ``key=value`` with ``#`` comments.
 Exit codes: 0 ok, 1 validation error, 2 runtime failure.
@@ -14,8 +15,11 @@ Exit codes: 0 ok, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import difflib
+import functools
 import hashlib
+import json
 import logging
 import sys
 import time
@@ -177,6 +181,11 @@ def validate_config(raw: dict) -> list[str]:
     return errors
 
 
+def _flag_config(**flags) -> PipelineConfig:
+    """A subcommand's config: the defaults, overridden by its flags."""
+    return PipelineConfig(values=dict(_DEFAULTS, **{k: str(v) for k, v in flags.items()}))
+
+
 def load_config(path) -> PipelineConfig:
     try:
         raw = parse_config_text(Path(path).read_text())
@@ -209,21 +218,10 @@ def _hash_files(paths) -> str:
     return digest.hexdigest()[:12]
 
 
-def _fresh(inputs, outputs) -> bool:
-    outs = [Path(p) for p in outputs]
-    if not outs or not all(p.exists() for p in outs):
-        return False
-    ins = [Path(p) for p in inputs if Path(p).exists()]
-    if not ins:
-        return True
-    newest_in = max(p.stat().st_mtime_ns for p in ins)
-    oldest_out = min(p.stat().st_mtime_ns for p in outs)
-    return newest_in <= oldest_out
-
-
 @dataclass
 class RunReport:
     lines: list = dc_field(default_factory=list)
+    ran: set = dc_field(default_factory=set)  # stages whose body ran in this invocation
 
     def add(self, stage: str, status: str, seconds: float, outputs=()):
         extra = f" hash={_hash_files(outputs)}" if outputs else ""
@@ -233,13 +231,81 @@ class RunReport:
         return "\n".join(self.lines) + "\n"
 
 
-def _stack_paths(prefix) -> list[Path]:
-    p = Path(prefix)
-    return [p.with_suffix(".hdr"), p.with_suffix(".raw")]
+def _stacks(*prefixes) -> tuple[str, ...]:
+    return tuple(f"{p}{ext}" for p in prefixes for ext in (".hdr", ".raw"))
+
+
+# One pipeline stage: body(cfg, out) writes the files named in `outputs` into the run
+# directory `out` from the outputs of the stages it `needs` and the config keys in `params`.
+Stage = collections.namedtuple("Stage", "name needs params outputs body")
+
+
+def _param_files(key: str, value: str) -> list[Path]:
+    """The files that a path-valued config value names."""
+    if key == "tiles":
+        return sorted(Path(value).glob("*.pgm"))
+    if value in ("", "estimate", "none", "identity"):
+        return []
+    if key in ("atlas", "atlas_low"):
+        return [*imgcore._stack_paths(value), Path(value).with_suffix(".names")]
+    if key in ("cell_model", "tracer_model"):
+        return list(nnseg.io._paths(value))
+    tags = {"flatfield": ("_CR", "_CG"), "field": ("_dx", "_dy", "_dz")}.get(key, ())
+    return [p for tag in tags for p in imgcore._stack_paths(value + tag)]
+
+
+def _stage_key(stage: Stage, cfg: PipelineConfig, stored: dict) -> str:
+    """The stage's key; files are stat'ed, not read (tiles are large).  ``stored`` holds
+    the keys of the stages it needs, which ran or were skipped just before."""
+    digest = hashlib.sha256()
+    for name in stage.needs:
+        digest.update(f"{name}:{stored[name]}\n".encode())
+    for key in stage.params:
+        value = cfg.values[key]
+        digest.update(f"{key}={value}\n".encode())
+        for p in filter(Path.exists, _param_files(key, value)):
+            digest.update(f"{p.name} {p.stat().st_size} {p.stat().st_mtime_ns}\n".encode())
+    return digest.hexdigest()
+
+
+def _save_keys(out: Path, keys: dict) -> None:
+    (out / "stages.json").write_text(json.dumps(keys, indent=1, sort_keys=True) + "\n")
+
+
+def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
+    """Run or skip one stage in ``cfg.out_dir`` and add its line to ``report``.  The key
+    is dropped before the body runs and stored after it returns, so a failed or killed
+    stage always reruns."""
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = [out / name for name in stage.outputs]
+    try:
+        stored = json.loads((out / "stages.json").read_text())
+    except (OSError, ValueError):
+        stored = {}
+    key = _stage_key(stage, cfg, stored)
+    if (all(p.exists() for p in outputs) and report.ran.isdisjoint(stage.needs)
+            and stored.get(stage.name) == key):
+        report.add(stage.name, "skip", 0.0)
+        return
+    stored.pop(stage.name, None)
+    _save_keys(out, stored)
+    t0 = time.time()
+    try:
+        stage.body(cfg, out)
+    except Exception as exc:
+        report.add(stage.name, "fail", 0.0)
+        if isinstance(exc, ConfigError):
+            raise
+        raise RuntimeError(f"stage {stage.name} failed: {exc}") from exc
+    report.ran.add(stage.name)
+    stored[stage.name] = key
+    _save_keys(out, stored)
+    report.add(stage.name, "ok", time.time() - t0, outputs)
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: bodies take a config plus explicit paths; the table runs them in order
 # ---------------------------------------------------------------------------
 
 
@@ -254,17 +320,9 @@ def _load_tiles(tile_dir) -> dict[str, list]:
     return tiles
 
 
-def stage_stitch(cfg: PipelineConfig, report: RunReport) -> None:
-    out = cfg.out_dir
-    inputs = sorted(Path(cfg.tiles).glob("*"))
-    outputs = [q for ch in imgcore.CHANNELS
-               for prefix in (out / f"high_{ch}", out / f"low_{ch}")
-               for q in _stack_paths(prefix)]
-    if _fresh(inputs, outputs):
-        report.add("stitch", "skip", 0.0)
-        return
-    t0 = time.time()
-    tiles = _load_tiles(cfg.tiles)
+def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
+    """Flat-field correct and stitch tiles into ``out/high_*`` and ``out/low_*``."""
+    tiles = _load_tiles(tile_dir)
     threads = int(cfg.threads)
 
     fields = {}
@@ -300,7 +358,6 @@ def stage_stitch(cfg: PipelineConfig, report: RunReport) -> None:
         low = imgcore.downsample_stack(stack, float(cfg.low_voxel_um))
         low.dtype = "f32"
         imgcore.write_stack(low, out / f"low_{ch}")
-    report.add("stitch", "ok", time.time() - t0, outputs)
 
 
 def _cells_in_roi(high_cb, mask, low_voxel_um, model, cutoff, sigmas, roi_pad):
@@ -330,45 +387,31 @@ def _cells_in_roi(high_cb, mask, low_voxel_um, model, cutoff, sigmas, roi_pad):
     )
 
 
-def stage_locate(cfg: PipelineConfig, report: RunReport) -> None:
-    out = cfg.out_dir
-    inputs = _stack_paths(out / "low_CB") + _stack_paths(out / "high_CB")
-    outputs = _stack_paths(out / "inj_mask") + [out / "cells.txt"]
-    if _fresh(inputs, outputs):
-        report.add("locate", "skip", 0.0)
-        return
-    t0 = time.time()
-    low_cb = imgcore.read_stack(out / "low_CB")
+def locate_injection(cfg: PipelineConfig, low_path, high_path, out: Path):
+    """Write ``out/inj_mask`` and, given ``high_path``, ``out/cells.txt``; return both."""
+    low_cb = imgcore.read_stack(low_path)
     mask = injsite.rough_localize(low_cb, t_raw=float(cfg.traw), sigma_um=float(cfg.sigma_um))
     imgcore.write_stack(mask.mask, out / "inj_mask")
-
+    if not high_path:
+        return mask, None
     if mask.empty:
         cloud = injsite.CellPointCloud(points=np.empty((0, 3), dtype=np.int64),
                                        scores=np.empty(0))
     else:
-        if cfg.cell_backend == "unet":
-            model = nnseg.load_model(cfg.cell_model)
-            cutoff = float(cfg.thigh)
-        else:
-            model = None
-            cutoff = float(cfg.hessian_cutoff)
-        high_cb = imgcore.read_stack(out / "high_CB")
+        unet = cfg.cell_backend == "unet"
+        model = nnseg.load_model(cfg.cell_model) if unet else None
+        cutoff = float(cfg.thigh if unet else cfg.hessian_cutoff)
+        high_cb = imgcore.read_stack(high_path)
         cloud = _cells_in_roi(high_cb, mask, low_cb.voxel_size[0], model, cutoff,
                               cfg.sigmas(), int(cfg.roi_pad))
     cloud.save(out / "cells.txt")
-    report.add("locate", "ok", time.time() - t0, outputs)
+    return mask, cloud
 
 
-def stage_tracer(cfg: PipelineConfig, report: RunReport) -> None:
-    out = cfg.out_dir
-    inputs = _stack_paths(out / "high_CG") + _stack_paths(out / "high_CR")
-    outputs = _stack_paths(out / "tracer_L") + _stack_paths(out / "tracer_mask")
-    if _fresh(inputs, outputs):
-        report.add("tracer", "skip", 0.0)
-        return
-    t0 = time.time()
-    cg = imgcore.read_stack(out / "high_CG")
-    cr = imgcore.read_stack(out / "high_CR")
+def segment_tracer(cfg: PipelineConfig, cg_stack, cr_stack, out: Path) -> None:
+    """Write the tracer signal ``out/tracer_L`` and mask ``out/tracer_mask``."""
+    cg = imgcore.read_stack(cg_stack)
+    cr = imgcore.read_stack(cr_stack)
     if cg.data.shape != cr.data.shape:
         raise ValueError("C_G and C_R stacks are incongruent")
     model = nnseg.load_model(cfg.tracer_model) if cfg.tracer_backend == "unet" else None
@@ -393,96 +436,86 @@ def stage_tracer(cfg: PipelineConfig, report: RunReport) -> None:
     imgcore.write_stack(
         imgcore.Stack3D(masks, cg.voxel_size, dtype="u16"), out / "tracer_mask"
     )
-    report.add("tracer", "ok", time.time() - t0, outputs)
 
 
-def stage_map(cfg: PipelineConfig, report: RunReport) -> None:
-    out = cfg.out_dir
-    inputs = _stack_paths(out / "tracer_L") + _stack_paths(out / "inj_mask")
-    outputs = _stack_paths(out / "mapped_L") + _stack_paths(out / "mapped_mask")
-    if _fresh(inputs, outputs):
-        report.add("map", "skip", 0.0)
-        return
-    t0 = time.time()
-    signal = imgcore.read_stack(out / "tracer_L")
-    mask = imgcore.read_stack(out / "inj_mask")
+def map_stacks(cfg: PipelineConfig, jobs) -> None:
+    """Resample each ``(source, interpolation, destination)`` job through ``cfg.field``:
+    read every source, load a saved field once, map every stack, then write them."""
+    stacks = [imgcore.read_stack(src) for src, _, _ in jobs]
     if cfg.field == "identity":
-        field_l = mapping.identity_field(signal.data.shape, signal.voxel_size)
-        field_m = mapping.identity_field(mask.data.shape, mask.voxel_size)
+        fields = [mapping.identity_field(s.data.shape, s.voxel_size) for s in stacks]
     else:
-        field_l = mapping.load_field(cfg.field)
-        field_m = field_l
-    mapped_l = mapping.apply_field(signal, field_l, interpolation="linear")
-    mapped_l.dtype = "f32"
-    mapped_m = mapping.apply_field(mask, field_m, interpolation="nearest")
-    mapped_m.dtype = "u16"
-    imgcore.write_stack(mapped_l, out / "mapped_L")
-    imgcore.write_stack(mapped_m, out / "mapped_mask")
-    report.add("map", "ok", time.time() - t0, outputs)
+        fields = [mapping.load_field(cfg.field)] * len(stacks)
+    mapped = [mapping.apply_field(s, f, interpolation=interp)
+              for s, f, (_, interp, _) in zip(stacks, fields, jobs)]
+    for stack, (_, _, dst) in zip(mapped, jobs):
+        imgcore.write_stack(stack, dst)
 
 
-def stage_connectivity(cfg: PipelineConfig, report: RunReport) -> None:
-    out = cfg.out_dir
-    inputs = _stack_paths(out / "mapped_L") + _stack_paths(out / "mapped_mask") + [out / "cells.txt"]
-    outputs = [out / "connectivity.txt"]
-    if _fresh(inputs, outputs):
-        report.add("connectivity", "skip", 0.0)
-        return
-    t0 = time.time()
+def connectivity_table(cfg: PipelineConfig, signal_stack, mask_stack, cells, out_path) -> None:
+    """Write the region-wise table; ``cfg.sources`` picks the mask or the cells."""
     if not cfg.atlas:
         raise ConfigError("connectivity stage requires atlas=<prefix>")
     atlas_high = mapping.RegionAtlas.load(cfg.atlas)
     atlas_low = mapping.RegionAtlas.load(cfg.atlas_low) if cfg.atlas_low else atlas_high
-
     if cfg.sources == "cells":
-        source_input = injsite.CellPointCloud.load(out / "cells.txt")
-        src_atlas = atlas_high
+        sources, out_src = mapping.injection_regions(injsite.CellPointCloud.load(cells), atlas_high)
     else:
-        source_input = imgcore.read_stack(out / "mapped_mask")
-        src_atlas = atlas_low
-    sources, out_src = mapping.injection_regions(source_input, src_atlas)
-    signal = imgcore.read_stack(out / "mapped_L")
+        sources, out_src = mapping.injection_regions(imgcore.read_stack(mask_stack), atlas_low)
+    signal = imgcore.read_stack(signal_stack)
     targets, out_tgt = mapping.projection_strengths(
         signal, atlas_high, normalize=bool(int(cfg.normalize))
     )
     table = mapping.ConnectivityTable(
-        brain_id=cfg.brain_id,
-        injection_id=cfg.injection_id,
-        sources={k: float(v) for k, v in sources.items()},
-        targets=targets,
-        outside_source=float(out_src),
-        outside_target=float(out_tgt),
+        brain_id=cfg.brain_id, injection_id=cfg.injection_id,
+        sources={k: float(v) for k, v in sources.items()}, targets=targets,
+        outside_source=float(out_src), outside_target=float(out_tgt),
         meta={"resolution_um": repr(signal.voxel_size[0])},
     )
-    table.save(out / "connectivity.txt")
-    report.add("connectivity", "ok", time.time() - t0, outputs)
+    table.save(out_path)
 
 
-_STAGES = [
-    ("stitch", stage_stitch),
-    ("locate", stage_locate),
-    ("tracer", stage_tracer),
-    ("map", stage_map),
-    ("connectivity", stage_connectivity),
+STAGE_TABLE = [
+    Stage("stitch", (),
+          ("tiles", "flatfield", "ff_lower", "ff_upper", "margin", "low_voxel_um"),
+          _stacks(*(f"{res}_{ch}" for ch in imgcore.CHANNELS for res in ("high", "low"))),
+          lambda cfg, out: stitch_tiles(cfg, cfg.tiles, out)),
+    Stage("locate", ("stitch",),
+          ("traw", "sigma_um", "cell_backend", "cell_model", "thigh", "hessian_sigmas",
+           "hessian_cutoff", "roi_pad"),
+          _stacks("inj_mask") + ("cells.txt",),
+          lambda cfg, out: locate_injection(cfg, out / "low_CB", out / "high_CB", out)),
+    Stage("tracer", ("stitch",),
+          ("tracer_backend", "tracer_model", "t", "hi", "lo", "close", "theta"),
+          _stacks("tracer_L", "tracer_mask"),
+          lambda cfg, out: segment_tracer(cfg, out / "high_CG", out / "high_CR", out)),
+    Stage("map", ("locate", "tracer"), ("field",),
+          _stacks("mapped_L", "mapped_mask"),
+          lambda cfg, out: map_stacks(cfg, [(out / "tracer_L", "linear", out / "mapped_L"),
+                                            (out / "inj_mask", "nearest", out / "mapped_mask")])),
+    Stage("connectivity", ("locate", "map"),
+          ("atlas", "atlas_low", "sources", "normalize", "brain_id", "injection_id"),
+          ("connectivity.txt",),
+          lambda cfg, out: connectivity_table(cfg, out / "mapped_L", out / "mapped_mask",
+                                              out / "cells.txt", out / "connectivity.txt")),
 ]
+
+
+# (name, callable) pairs in pipeline order.  run_pipeline looks the callables
+# up here at call time, so a profiler can wrap each stage by replacing its entry.
+_STAGES = [(stage.name, functools.partial(_run_stage, stage)) for stage in STAGE_TABLE]
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run all stages in order; failures halt with the stage name attached."""
     if not cfg.tiles or not cfg.values["out"]:
         raise ConfigError("run requires tiles=<dir> and out=<dir>")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport()
-    for name, fn in _STAGES:
-        try:
-            fn(cfg, report)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            report.add(name, "fail", 0.0)
-            (cfg.out_dir / "report.txt").write_text(report.text())
-            raise RuntimeError(f"stage {name} failed: {exc}") from exc
-    (cfg.out_dir / "report.txt").write_text(report.text())
+    try:
+        for _, run_stage in _STAGES:
+            run_stage(cfg, report)
+    finally:
+        (cfg.out_dir / "report.txt").write_text(report.text())
     return report
 
 
@@ -519,13 +552,10 @@ def _cmd_flatfield(args) -> int:
 
 
 def _cmd_stitch(args) -> int:
-    cfg = PipelineConfig(values=dict(
-        _DEFAULTS, tiles=args.tiles, out=args.out,
-        margin=str(args.margin), flatfield=args.flatfield, threads=str(args.threads),
-    ))
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    cfg = _flag_config(tiles=args.tiles, out=args.out, margin=args.margin,
+                       flatfield=args.flatfield, threads=args.threads)
     report = RunReport()
-    stage_stitch(cfg, report)
+    _run_stage(STAGE_TABLE[0], cfg, report)
     layout_lines = []
     tiles = _load_tiles(args.tiles)
     first_channel = sorted(tiles)[0]
@@ -731,37 +761,22 @@ def _dispatch(args) -> int:
     if args.command == "stitch":
         return _cmd_stitch(args)
     if args.command == "inject-locate":
+        cfg = _flag_config(cell_backend=args.backend, cell_model=args.model, traw=args.traw,
+                           sigma_um=args.sigma_um, thigh=args.thigh, hessian_sigmas=args.sigmas,
+                           hessian_cutoff=args.cutoff, roi_pad=args.roi_pad)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        low = imgcore.read_stack(args.cb_low)
-        mask = injsite.rough_localize(low, t_raw=args.traw, sigma_um=args.sigma_um)
-        imgcore.write_stack(mask.mask, out / "inj_mask")
-        if args.cb_high and not mask.empty:
-            high = imgcore.read_stack(args.cb_high)
-            model = nnseg.load_model(args.model) if args.backend == "unet" else None
-            cutoff = args.thigh if model is not None else args.cutoff
-            sigmas = tuple(float(s) for s in args.sigmas.split(","))
-            cloud = _cells_in_roi(high, mask, low.voxel_size[0], model, cutoff,
-                                  sigmas, args.roi_pad)
-            cloud.save(out / "cells.txt")
-            print(f"mask + {len(cloud)} cells written to {out} (empty={mask.empty})")
-        else:
-            print(f"mask written to {out} (empty={mask.empty})")
+        mask, cloud = locate_injection(cfg, args.cb_low, args.cb_high, out)
+        cells = f" + {len(cloud)} cells" if cloud is not None else ""
+        print(f"mask{cells} written to {out} (empty={mask.empty})")
         return 0
     if args.command == "tracer-seg":
-        cfg = PipelineConfig(values=dict(
-            _DEFAULTS, out=str(Path(args.out)),
-            tracer_backend=args.backend, tracer_model=args.model,
-            t=str(args.t), hi=str(args.hi), lo=str(args.lo), close=str(args.close),
-            theta=str(args.theta), threads=str(args.threads),
-        ))
+        cfg = _flag_config(tracer_backend=args.backend, tracer_model=args.model, t=args.t,
+                           hi=args.hi, lo=args.lo, close=args.close, theta=args.theta,
+                           threads=args.threads)
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        for name, src in (("high_CG", args.cg), ("high_CR", args.cr)):
-            stack = imgcore.read_stack(src)
-            imgcore.write_stack(stack, Path(args.out) / name)
-        report = RunReport()
-        stage_tracer(cfg, report)
-        print(report.text(), end="")
+        segment_tracer(cfg, args.cg, args.cr, Path(args.out))
+        print(f"tracer_L + tracer_mask written to {args.out}")
         return 0
     if args.command in ("train-cells", "train-tracer"):
         args.task = "cells" if args.command == "train-cells" else "tracer"
@@ -769,36 +784,20 @@ def _dispatch(args) -> int:
     if args.command == "predict":
         return _cmd_predict(args)
     if args.command == "map":
-        stack = imgcore.read_stack(args.stack)
-        if args.field == "identity":
-            field = mapping.identity_field(stack.data.shape, stack.voxel_size)
-        else:
-            field = mapping.load_field(args.field)
-        mapped = mapping.apply_field(stack, field, interpolation=args.interp)
-        imgcore.write_stack(mapped, args.out)
+        map_stacks(_flag_config(field=args.field), [(args.stack, args.interp, args.out)])
         print(f"mapped stack written to {args.out}")
         return 0
     if args.command == "connectivity":
-        atlas_high = mapping.RegionAtlas.load(args.atlas)
-        atlas_low = mapping.RegionAtlas.load(args.atlas_low) if args.atlas_low else atlas_high
-        mask = imgcore.read_stack(args.mask)
-        signal = imgcore.read_stack(args.signal)
-        sources, out_src = mapping.injection_regions(mask, atlas_low)
-        targets, out_tgt = mapping.projection_strengths(signal, atlas_high, normalize=args.normalize)
-        table = mapping.ConnectivityTable(
-            brain_id=args.brain_id, injection_id=args.injection_id,
-            sources={k: float(v) for k, v in sources.items()}, targets=targets,
-            outside_source=float(out_src), outside_target=float(out_tgt),
-        )
-        table.save(args.out)
+        cfg = _flag_config(atlas=args.atlas, atlas_low=args.atlas_low,
+                           normalize=int(args.normalize), brain_id=args.brain_id,
+                           injection_id=args.injection_id)
+        connectivity_table(cfg, args.signal, args.mask, None, args.out)
         print(f"table written to {args.out}")
         return 0
     if args.command == "eval":
         return _cmd_eval(args)
     if args.command == "run":
-        cfg = load_config(args.config)
-        report = run_pipeline(cfg)
-        print(report.text(), end="")
+        print(run_pipeline(load_config(args.config)).text(), end="")
         return 0
     raise ConfigError(f"unknown command {args.command!r}")
 

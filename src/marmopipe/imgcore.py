@@ -102,9 +102,6 @@ class Stack3D:
         nz, ny, nx = self.data.shape
         return (nx, ny, nz)
 
-    def slice(self, z: int) -> np.ndarray:
-        return self.data[z]
-
 
 @dataclass
 class SaliencyMap:

@@ -39,14 +39,6 @@ class MosaicLayout:
     tile_extent: tuple[int, int]
     nominal_overlap: int | None = None
 
-    def overlap_counts(self) -> np.ndarray:
-        w, h = self.extent
-        tw, th = self.tile_extent
-        counts = np.zeros((h, w), dtype=np.int64)
-        for ox, oy in self.offsets:
-            counts[oy:oy + th, ox:ox + tw] += 1
-        return counts
-
 
 def plan_layout(tiles: list[Tile2D]) -> MosaicLayout:
     """Derive integer pixel offsets for one section from world coordinates."""

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,49 @@ class TestPipeline:
         cloud = CellPointCloud.load(tmp_path / "run" / "cells.txt")
         assert len(cloud) > 0
 
+    @pytest.mark.parametrize("change, rerun", [
+        pytest.param(dict(hi=5000, lo=4000), {"tracer", "map", "connectivity"}, id="hi_lo"),
+        pytest.param(dict(hessian_cutoff=100), {"locate", "map", "connectivity"}, id="cutoff"),
+        pytest.param(dict(normalize=1), {"connectivity"}, id="normalize"),
+        pytest.param("atlas_high.raw", {"connectivity"}, id="atlas_mtime"),
+        pytest.param(dict(threads=3), set(), id="threads"),
+    ])
+    def test_rerun_follows_parameters_and_inputs(self, tmp_path, change, rerun):
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
+        if isinstance(change, str):  # a new mtime on one atlas file
+            path = tmp_path / "truth" / change
+            st = path.stat()
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            change = {}
+        report = run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", **change))
+        assert stage_status(report) == {
+            name: "ok" if name in rerun else "skip"
+            for name in ("stitch", "locate", "tracer", "map", "connectivity")
+        }
+
+    def test_killed_stage_reruns(self, tmp_path, monkeypatch):
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        cfg = pipeline_config(tmp_path, tmp_path / "truth")
+
+        def killed_save(table, path):
+            Path(path).write_text("# brain_id=")
+            raise OSError("killed while writing")
+
+        monkeypatch.setattr(ConnectivityTable, "save", killed_save)
+        with pytest.raises(RuntimeError, match="stage connectivity failed"):
+            run_pipeline(cfg)
+        monkeypatch.undo()
+        status = stage_status(run_pipeline(cfg))
+        assert status["connectivity"] == "ok"
+        assert list(status.values()).count("skip") == 4
+        ConnectivityTable.load(tmp_path / "run" / "connectivity.txt")
+
+
+def stage_status(report) -> dict:
+    return dict(line.split()[0].split("=")[1:] + line.split()[1].split("=")[1:]
+                for line in report.text().splitlines())
+
 
 class TestMainEntry:
     def test_phantom_then_run_and_eval(self, tmp_path, capsys):
@@ -229,6 +273,20 @@ class TestMainEntry:
         cfg = tmp_path / "cfg"
         cfg.write_text(f"tiles={empty}\nout={tmp_path}/run\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
+
+    def test_stage_config_error_writes_report(self, tmp_path, capsys):
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
+        (tmp_path / "run" / "connectivity.txt").unlink()  # the stage must run and fail
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"tiles={tmp_path / 'tiles'}\nout={tmp_path / 'run'}\n"
+                       "flatfield=none\nmargin=20\natlas=\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert "requires atlas" in capsys.readouterr().err
+        lines = (tmp_path / "run" / "report.txt").read_text().splitlines()
+        assert len(lines) == 5
+        assert lines[-1].startswith("stage=connectivity status=fail")
+        assert sum("status=skip" in line for line in lines) == 4
 
     def test_flatfield_estimate_command(self, tmp_path, capsys):
         from marmopipe.evalsynth import background_tile_stream
