@@ -7,7 +7,7 @@ Submodules:
 * ``stitch``    tile layout, cropping, blending, stack assembly
 * ``injsite``   injection-site localization and cell detection
 * ``tracerseg`` classical tracer segmentation (thresholds + morphology)
-* ``nnseg``     trainable U-Net backend (training, augmentation, inference)
+* ``nnseg``     trainable U-Net backend (training, inference)
 * ``mapping``   displacement-field resampling and connectivity tables
 * ``evalsynth`` synthetic phantoms with ground truth, detection metrics
 * ``cli``       batch pipeline driver and subcommands

@@ -173,7 +173,7 @@ def validate_config(raw: dict) -> list[str]:
     for key in ("atlas", "atlas_low"):
         if merged[key] and not Path(merged[key] + ".hdr").exists():
             errors.append(f"{key}: no stack header at {merged[key]!r}")
-    if merged["field"] not in ("", "identity") and not Path(merged["field"] + "_dx.hdr").exists():
+    if merged["field"] != "identity" and not Path(merged["field"] + "_dx.hdr").exists():
         errors.append(f"field: no displacement stacks at {merged['field']!r}")
     if merged["flatfield"] not in ("estimate", "none"):
         if not any(Path(f"{merged['flatfield']}_{ch}.hdr").exists() for ch in ("CR", "CG")):

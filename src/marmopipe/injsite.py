@@ -198,14 +198,9 @@ def detect_cells(saliency, t_high: float = 0.5) -> CellPointCloud:
 
 @dataclass
 class SliceROI:
-    """Per-slice bounding rectangles (half-open, clipped at 0) plus z range."""
+    """Per-slice bounding rectangles (half-open, clipped at 0), keyed by z."""
 
     rects: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
-
-    @property
-    def z_range(self) -> tuple[int, int]:
-        zs = sorted(self.rects)
-        return (zs[0], zs[-1])
 
     def clip(self, width: int, height: int) -> "SliceROI":
         out = {}

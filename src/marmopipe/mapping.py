@@ -139,71 +139,6 @@ def apply_field(stack: Stack3D, field: DisplacementField, interpolation: str = "
     return Stack3D(data=out, voxel_size=field.voxel_size, channel=stack.channel, dtype=stack.dtype)
 
 
-def compose_fields(outer: DisplacementField, inner: DisplacementField) -> DisplacementField:
-    """Composite field c with apply(stack, c) == apply(apply(stack, inner), outer).
-
-    ``outer`` maps reference -> intermediate, ``inner`` intermediate ->
-    source; the inner field is linearly interpolated at the positions the
-    outer field points to (out-of-domain lookups extend with zero
-    displacement at the clamped border).
-    """
-    nz, ny, nx = outer.shape
-    vx, vy, vz = outer.voxel_size
-    ivx, ivy, ivz = inner.voxel_size
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
-    # intermediate positions in µm, then continuous indices into the inner grid
-    px = (xx + 0.5) * vx + outer.disp[0]
-    py = (yy + 0.5) * vy + outer.disp[1]
-    pz = (zz + 0.5) * vz + outer.disp[2]
-    ci = [pz / ivz - 0.5, py / ivy - 0.5, px / ivx - 0.5]
-    inz, iny, inx = inner.shape
-    bounds = (inz, iny, inx)
-    c0 = [np.clip(np.floor(c).astype(np.int64), 0, b - 1) for c, b in zip(ci, bounds)]
-    c1 = [np.minimum(c + 1, b - 1) for c, b in zip(c0, bounds)]
-    fr = [np.clip(c - lo, 0.0, 1.0) for c, lo in zip(ci, c0)]
-
-    total = np.empty_like(outer.disp)
-    for comp in range(3):
-        grid = inner.disp[comp]
-        acc = np.zeros((nz, ny, nx), dtype=np.float64)
-        for dz, wz in ((c0[0], 1 - fr[0]), (c1[0], fr[0])):
-            for dy, wy in ((c0[1], 1 - fr[1]), (c1[1], fr[1])):
-                for dx, wx in ((c0[2], 1 - fr[2]), (c1[2], fr[2])):
-                    acc += wz * wy * wx * grid[dz, dy, dx]
-        total[comp] = outer.disp[comp] + acc
-    return DisplacementField(disp=total, voxel_size=outer.voxel_size)
-
-
-def axisymmetric_average(stacks: list[Stack3D], midplane_axis: str = "x") -> Stack3D:
-    """Mean of the stacks and their midsagittal mirror images.
-
-    Flipping along the midplane axis doubles the number of samples per voxel
-    and makes the result exactly mirror-symmetric.
-    """
-    if not stacks:
-        raise ValueError("no stacks to average")
-    axis = {"z": 0, "y": 1, "x": 2}[midplane_axis]
-    shape = stacks[0].data.shape
-    for s in stacks:
-        if s.data.shape != shape:
-            raise ValueError("stacks must be congruent")
-    total = np.zeros(shape, dtype=np.float64)
-    for s in stacks:
-        total += s.data
-    total += np.flip(total, axis=axis)
-    return Stack3D(
-        data=total / (2 * len(stacks)),
-        voxel_size=stacks[0].voxel_size,
-        channel=stacks[0].channel,
-        dtype="f32",
-    )
-
-
 # ---------------------------------------------------------------------------
 # atlas + connectivity
 # ---------------------------------------------------------------------------

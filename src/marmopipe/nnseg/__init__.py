@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .augment import augment, elastic_field, warp_sample
 from .infer import predict_whole, sliding_window_predict
 from .io import load_model, save_model
 from .loss import weighted_logistic_loss
@@ -44,10 +43,8 @@ __all__ = [
     "TrainingSample",
     "UNet",
     "UNetParams",
-    "augment",
     "build_cell_weight_map",
     "build_tracer_weight_map",
-    "elastic_field",
     "init_unet",
     "load_model",
     "margin",
@@ -61,6 +58,5 @@ __all__ = [
     "unet_backward",
     "unet_forward",
     "valid_input",
-    "warp_sample",
     "weighted_logistic_loss",
 ]

@@ -2,8 +2,7 @@
 
 ``<prefix>.manifest`` lists the architecture line followed by one line per
 parameter (name and shape) in blob order; ``<prefix>.bin`` concatenates the
-arrays as little-endian float32 in exactly that order.  Batch-norm running
-statistics are stored like parameters with a ``stat:`` prefix.
+arrays as little-endian float32 in exactly that order.
 """
 
 from __future__ import annotations
@@ -30,18 +29,12 @@ def save_model(net: UNetParams, prefix) -> Path:
         f"base_features={net.base_features}",
         f"in_channels={net.in_channels}",
         f"input_scale={net.input_scale!r}",
-        f"use_batchnorm={int(net.use_batchnorm)}",
-        f"dropout_rate={net.dropout_rate!r}",
         f"seed={net.seed}",
     ]
     chunks = []
     for name in sorted(net.params):
         arr = net.params[name]
         lines.append(f"param:{name}={' '.join(str(s) for s in arr.shape)}")
-        chunks.append(arr.astype("<f4").tobytes())
-    for name in sorted(net.stats):
-        arr = net.stats[name]
-        lines.append(f"stat:{name}={' '.join(str(s) for s in arr.shape)}")
         chunks.append(arr.astype("<f4").tobytes())
     manifest.write_text("\n".join(lines) + "\n")
     blob.write_bytes(b"".join(chunks))
@@ -57,23 +50,28 @@ def load_model(prefix) -> UNetParams:
         if not line:
             continue
         key, value = line.split("=", 1)
-        if key.startswith(("param:", "stat:")):
-            kind, name = key.split(":", 1)
+        # a batch-norm model run without its normalization would give
+        # silently wrong saliency maps; dropout needs nothing at inference
+        if key.startswith("stat:"):
+            raise ValueError(f"{manifest}: batch-norm statistics are not supported")
+        if key.startswith("param:"):
             shape = tuple(int(v) for v in value.split()) if value.strip() else ()
-            entries.append((kind, name, shape))
+            entries.append((key[len("param:"):], shape))
         else:
             head[key] = value
     if head.get("format") != "marmopipe-unet-1":
         raise ValueError(f"unknown model format in {manifest}")
+    if int(head.get("use_batchnorm", "0")):
+        raise ValueError(f"{manifest}: batch normalization is not supported")
 
     raw = blob.read_bytes()
-    params, stats = {}, {}
+    params = {}
     offset = 0
-    for kind, name, shape in entries:
+    for name, shape in entries:
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape)
         offset += n * 4
-        (params if kind == "param" else stats)[name] = arr.astype(np.float64)
+        params[name] = arr.astype(np.float64)
     if offset != len(raw):
         raise ValueError(f"model blob has {len(raw)} bytes, manifest expects {offset}")
     return UNetParams(
@@ -81,9 +79,6 @@ def load_model(prefix) -> UNetParams:
         base_features=int(head["base_features"]),
         in_channels=int(head["in_channels"]),
         params=params,
-        stats=stats,
         input_scale=float(head["input_scale"]),
-        use_batchnorm=bool(int(head["use_batchnorm"])),
-        dropout_rate=float(head["dropout_rate"]),
         seed=int(head["seed"]),
     )

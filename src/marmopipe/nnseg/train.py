@@ -79,7 +79,7 @@ def train(
         if step % len(samples) == 0:
             order = rng.permutation(len(samples))
         sample = samples[order[step % len(samples)]]
-        pred = model.forward(sample.input, train=True, rng=rng)
+        pred = model.forward(sample.input)
         ho, wo = pred.shape[1], pred.shape[2]
         label = _crop_center(sample.label, ho, wo)
         weight = _crop_center(sample.weight, ho, wo)

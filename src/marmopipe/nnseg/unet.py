@@ -7,10 +7,6 @@ up, and a 1x1 convolution + sigmoid head.  Feature counts double per level
 from ``base_features``.  At the reference scale (depth 4, base 64) a
 572x572 input yields a 484x484 output; the desk scale used throughout the
 tests is depth 2, base 8 (108 -> 92).
-
-Optional batch normalization (per feature map over the spatial extent, with
-running statistics for inference) and dropout after each conv pair are
-supported but disabled by default.
 """
 
 from __future__ import annotations
@@ -67,20 +63,16 @@ def next_valid_input(depth: int, n: int) -> int:
 class UNetParams:
     """Trainable state plus the few architecture knobs that shape it.
 
-    ``params`` maps parameter names to float64 arrays; ``stats`` holds the
-    batch-norm running averages (absent when normalization is off).
-    ``input_scale`` is applied to raw intensities at the network entry so
-    models remember their own normalization.
+    ``params`` maps parameter names to float64 arrays.  ``input_scale`` is
+    applied to raw intensities at the network entry so models remember their
+    own normalization.
     """
 
     depth: int
     base_features: int
     in_channels: int
     params: dict = dc_field(default_factory=dict)
-    stats: dict = dc_field(default_factory=dict)
     input_scale: float = 1.0
-    use_batchnorm: bool = False
-    dropout_rate: float = 0.0
     seed: int = 0
 
     def copy(self) -> "UNetParams":
@@ -89,10 +81,7 @@ class UNetParams:
             base_features=self.base_features,
             in_channels=self.in_channels,
             params={k: v.copy() for k, v in self.params.items()},
-            stats={k: v.copy() for k, v in self.stats.items()},
             input_scale=self.input_scale,
-            use_batchnorm=self.use_batchnorm,
-            dropout_rate=self.dropout_rate,
             seed=self.seed,
         )
 
@@ -127,13 +116,10 @@ def init_unet(
     in_channels: int,
     seed: int = 0,
     input_scale: float = 1.0,
-    use_batchnorm: bool = False,
-    dropout_rate: float = 0.0,
 ) -> UNetParams:
     """He-initialized parameters; fully determined by the seed."""
     rng = np.random.default_rng(seed)
     params = {}
-    stats = {}
     for name, kind, cin, cout in _conv_specs(depth, base_features, in_channels):
         if kind == "conv3":
             fan_in = cin * 9
@@ -144,26 +130,14 @@ def init_unet(
         else:
             params[f"{name}_w"] = rng.normal(0.0, np.sqrt(2.0 / cin), (cout, cin))
         params[f"{name}_b"] = np.zeros(cout)
-        if use_batchnorm and kind == "conv3":
-            params[f"{name}_bn_g"] = np.ones(cout)
-            params[f"{name}_bn_b"] = np.zeros(cout)
-            stats[f"{name}_bn_mean"] = np.zeros(cout)
-            stats[f"{name}_bn_var"] = np.ones(cout)
     return UNetParams(
         depth=depth,
         base_features=base_features,
         in_channels=in_channels,
         params=params,
-        stats=stats,
         input_scale=input_scale,
-        use_batchnorm=use_batchnorm,
-        dropout_rate=dropout_rate,
         seed=seed,
     )
-
-
-_BN_EPS = 1e-5
-_BN_MOMENTUM = 0.1
 
 
 class UNet:
@@ -175,38 +149,16 @@ class UNet:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv_block(self, name, x, train, rng, cache):
+    def _conv_block(self, name, x, cache):
         p = self.net.params
         for conv in (f"{name}_conv1", f"{name}_conv2"):
             z = L.conv3x3_forward(x, p[f"{conv}_w"], p[f"{conv}_b"])
             cache[f"{conv}_in"] = x
-            if self.net.use_batchnorm:
-                z = self._bn_forward(conv, z, train, cache)
             cache[f"{conv}_z"] = z
             x = L.relu_forward(z)
-        if train and self.net.dropout_rate > 0:
-            keep = 1.0 - self.net.dropout_rate
-            mask = (rng.random(x.shape) < keep) / keep
-            cache[f"{name}_drop"] = mask
-            x = x * mask
         return x
 
-    def _bn_forward(self, conv, z, train, cache):
-        p, s = self.net.params, self.net.stats
-        if train:
-            mean = z.mean(axis=(1, 2))
-            var = z.var(axis=(1, 2))
-            s[f"{conv}_bn_mean"] = (1 - _BN_MOMENTUM) * s[f"{conv}_bn_mean"] + _BN_MOMENTUM * mean
-            s[f"{conv}_bn_var"] = (1 - _BN_MOMENTUM) * s[f"{conv}_bn_var"] + _BN_MOMENTUM * var
-        else:
-            mean = s[f"{conv}_bn_mean"]
-            var = s[f"{conv}_bn_var"]
-        inv = 1.0 / np.sqrt(var + _BN_EPS)
-        zhat = (z - mean[:, None, None]) * inv[:, None, None]
-        cache[f"{conv}_bn"] = (zhat, inv)
-        return p[f"{conv}_bn_g"][:, None, None] * zhat + p[f"{conv}_bn_b"][:, None, None]
-
-    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network; returns the sigmoid saliency map (1, ho, wo)."""
         net = self.net
         x = np.asarray(x, dtype=np.float64)
@@ -216,8 +168,6 @@ class UNet:
             raise ValueError(f"expected {net.in_channels} input channels, got {x.shape[0]}")
         for n in x.shape[1:]:
             output_extent(net.depth, n)  # raises on inadmissible extents
-        if train and net.dropout_rate > 0 and rng is None:
-            rng = np.random.default_rng(0)
         if net.input_scale != 1.0:
             x = x * net.input_scale
 
@@ -228,7 +178,7 @@ class UNet:
                 cache[f"pool{d}_in_shape"] = x.shape
                 x, arg = L.maxpool2_forward(x)
                 cache[f"pool{d}_arg"] = arg
-            x = self._conv_block(f"enc{d}", x, train, rng, cache)
+            x = self._conv_block(f"enc{d}", x, cache)
             if d < net.depth - 1:
                 skips.append(x)
         for d in range(net.depth - 2, -1, -1):
@@ -238,7 +188,7 @@ class UNet:
             cropped = L.center_crop(skip, x.shape[1], x.shape[2])
             cache[f"dec{d}_skip_shape"] = skip.shape
             x = np.concatenate([cropped, x], axis=0)
-            x = self._conv_block(f"dec{d}", x, train, rng, cache)
+            x = self._conv_block(f"dec{d}", x, cache)
         logits = L.conv1x1_forward(x, net.params["out_w"], net.params["out_b"])
         cache["out_in"] = x
         cache["logits"] = logits
@@ -249,26 +199,12 @@ class UNet:
 
     def _conv_block_backward(self, name, dy, grads):
         cache, p = self._cache, self.net.params
-        if f"{name}_drop" in cache:
-            dy = dy * cache[f"{name}_drop"]
         for conv in (f"{name}_conv2", f"{name}_conv1"):
             dz = L.relu_backward(cache[f"{conv}_z"], dy)
-            if self.net.use_batchnorm:
-                dz = self._bn_backward(conv, dz, grads)
             dy, dw, db = L.conv3x3_backward(cache[f"{conv}_in"], p[f"{conv}_w"], dz)
             grads[f"{conv}_w"] = dw
             grads[f"{conv}_b"] = db
         return dy
-
-    def _bn_backward(self, conv, dz, grads):
-        zhat, inv = self._cache[f"{conv}_bn"]
-        g = self.net.params[f"{conv}_bn_g"]
-        grads[f"{conv}_bn_g"] = (dz * zhat).sum(axis=(1, 2))
-        grads[f"{conv}_bn_b"] = dz.sum(axis=(1, 2))
-        dzhat = dz * g[:, None, None]
-        term = dzhat - dzhat.mean(axis=(1, 2), keepdims=True) \
-            - zhat * (dzhat * zhat).mean(axis=(1, 2), keepdims=True)
-        return term * inv[:, None, None]
 
     def backward(self, dlogits: np.ndarray) -> dict:
         """Parameter gradients given the loss gradient wrt the logits."""

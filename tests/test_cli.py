@@ -101,6 +101,10 @@ class TestConfig:
     def test_threads_validation(self):
         assert any("threads" in e for e in validate_config({"threads": "0"}))
 
+    def test_empty_field_validation(self):
+        assert any(e.startswith("field:") for e in validate_config({"field": ""}))
+        assert not any(e.startswith("field:") for e in validate_config({"field": "identity"}))
+
 
 def run_dir_digest(run_dir: Path) -> str:
     digest = hashlib.sha256()

@@ -208,6 +208,7 @@ class TestRoiFromMask:
     def test_block_arithmetic(self):
         mask = self.make_mask([(10, 10, 5)])
         roi = roi_from_mask(mask, pad_px=0)
+        assert sorted(roi.rects) == [5]  # slices without mask voxels get no rectangle
         s = 50.0 / 1.34
         assert roi.rects[5][0] == round(10 * s) == 373
         assert roi.rects[5][2] == round(11 * s)
@@ -218,12 +219,6 @@ class TestRoiFromMask:
         roi = roi_from_mask(InjectionMask(mask=stack_of(vol), t_raw=0, t_low=0), pad_px=0)
         assert sorted(roi.rects) == [0, 1, 2]
         assert roi.rects[0] == (0, 0, round(4 * 50 / 1.34), round(4 * 50 / 1.34))
-
-    def test_z_range(self):
-        mask = self.make_mask([(3, 3, 5), (4, 4, 6), (2, 2, 8)])
-        roi = roi_from_mask(mask)
-        assert roi.z_range == (5, 8)
-        assert sorted(roi.rects) == [5, 6, 8]
 
     def test_empty_mask(self):
         from marmopipe.injsite import InjectionMask

@@ -8,8 +8,6 @@ from marmopipe.mapping import (
     DisplacementField,
     RegionAtlas,
     apply_field,
-    axisymmetric_average,
-    compose_fields,
     identity_field,
     injection_regions,
     load_field,
@@ -76,71 +74,6 @@ class TestApplyField:
         stack = stack_of(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             apply_field(stack, identity_field((2, 2, 2), (1, 1, 1)), "cubic")
-
-
-class TestComposeFields:
-    def test_compose_tracks_sequential_on_smooth_fields(self):
-        # composition replaces two resamples by one; on smooth fields (the
-        # registration use case) both routes agree closely, and the single
-        # resample avoids the second interpolation blur
-        from marmopipe.imgcore import gaussian_blur
-
-        rng = np.random.default_rng(4)
-        smooth = gaussian_blur(rng.random((16, 16, 16)), 4.0)
-        stack = stack_of(smooth * 100, (1.0, 1.0, 1.0))
-        inner = identity_field((16, 16, 16), (1.0, 1.0, 1.0))
-        outer = identity_field((16, 16, 16), (1.0, 1.0, 1.0))
-        for f in (inner, outer):
-            for c in range(3):
-                f.disp[c] = gaussian_blur(rng.normal(0, 1.0, (16, 16, 16)), 3.0) * 4.0
-        sequential = apply_field(apply_field(stack, inner), outer)
-        composed = apply_field(stack, compose_fields(outer, inner))
-        s, c = sequential.data[2:-2, 2:-2, 2:-2], composed.data[2:-2, 2:-2, 2:-2]
-        assert np.abs(s - c).max() < 0.05 * np.ptp(stack.data)
-
-    def test_identity_inner_is_exact(self):
-        rng = np.random.default_rng(12)
-        outer = identity_field((3, 4, 5), (1.0, 2.0, 3.0))
-        outer.disp[:] = rng.normal(0, 1.0, outer.disp.shape)
-        ident = identity_field((3, 4, 5), (1.0, 2.0, 3.0))
-        g = compose_fields(outer, ident)
-        assert np.array_equal(g.disp, outer.disp)
-
-    def test_identity_composition(self):
-        f = identity_field((3, 4, 5), (1.0, 2.0, 3.0))
-        g = compose_fields(f, f)
-        assert np.allclose(g.disp, 0.0)
-
-
-class TestAxisymmetric:
-    def test_symmetric_stack_unchanged(self):
-        rng = np.random.default_rng(5)
-        half = rng.random((3, 4, 3))
-        data = np.concatenate([half, half[:, :, ::-1]], axis=2)
-        out = axisymmetric_average([stack_of(data)], midplane_axis="x")
-        assert np.allclose(out.data, data)
-
-    def test_asymmetric_stack_mirror_mean(self):
-        rng = np.random.default_rng(6)
-        data = rng.random((3, 4, 6))
-        out = axisymmetric_average([stack_of(data)], midplane_axis="x")
-        want = 0.5 * (data + data[:, :, ::-1])
-        assert np.array_equal(out.data, want)
-        assert np.array_equal(out.data, out.data[:, :, ::-1])
-
-    def test_matches_2n_volume_oracle(self):
-        rng = np.random.default_rng(7)
-        stacks = [stack_of(rng.random((2, 3, 4))) for _ in range(5)]
-        out = axisymmetric_average(stacks, midplane_axis="x")
-        volumes = [s.data for s in stacks] + [s.data[:, :, ::-1] for s in stacks]
-        want = np.mean(volumes, axis=0)
-        assert np.abs(out.data - want).max() < 1e-12
-
-    def test_exact_mirror_invariance(self):
-        rng = np.random.default_rng(8)
-        stacks = [stack_of(rng.random((3, 5, 7))) for _ in range(3)]
-        out = axisymmetric_average(stacks, midplane_axis="x")
-        assert np.array_equal(out.data, out.data[:, :, ::-1])
 
 
 def three_region_atlas(shape=(3, 4, 9)):

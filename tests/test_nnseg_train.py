@@ -4,14 +4,11 @@ import pytest
 from marmopipe.imgcore import gaussian_blur
 from marmopipe.nnseg import (
     TrainingSample,
-    augment,
     build_cell_weight_map,
     build_tracer_weight_map,
-    elastic_field,
     init_unet,
     sample_training_tiles,
     train,
-    warp_sample,
 )
 
 
@@ -189,73 +186,3 @@ class TestSampleTiles:
             weight_fn=lambda lab: np.full_like(lab, 3.0),
         )
         assert all(np.all(s.weight == 3.0) for s in samples)
-
-
-class TestAugment:
-    def test_neutral_is_center_crop(self):
-        sample = flat_sample(40)
-        out = warp_sample(sample, 24)
-        assert out.input.shape == (1, 24, 24)
-        assert np.array_equal(out.input[0], sample.input[0, 8:32, 8:32])
-        assert np.array_equal(out.label, sample.label[8:32, 8:32])
-
-    def test_rotation_90_of_symmetric_input(self):
-        yy, xx = np.mgrid[0:41, 0:41].astype(float)
-        sym = np.exp(-((yy - 20) ** 2 + (xx - 20) ** 2) / 30.0)
-        sample = TrainingSample(input=sym[None], label=np.zeros((41, 41)),
-                                weight=np.ones((41, 41)))
-        out0 = warp_sample(sample, 25)
-        out90 = warp_sample(sample, 25, angle=np.pi / 2)
-        assert np.allclose(out0.input, out90.input, atol=1e-9)
-
-    def test_marker_lands_at_analytic_position(self):
-        # a 3x3 marker survives nearest resampling even under minification;
-        # its centroid must land within 1 px of the analytic warp position
-        extent, out_extent = 81, 41
-        for angle in (0.3, 1.1, 2.0):
-            for scale in (0.9, 1.0, 1.1):
-                label = np.zeros((extent, extent))
-                qy, qx = 45, 33
-                label[qy - 1:qy + 2, qx - 1:qx + 2] = 1.0
-                sample = TrainingSample(
-                    input=np.zeros((1, extent, extent)),
-                    label=label, weight=np.ones((extent, extent)),
-                )
-                out = warp_sample(sample, out_extent, angle=angle, scale=scale)
-                c_in = (extent - 1) / 2.0
-                c_out = (out_extent - 1) / 2.0
-                # invert the sampling map: p_out = c_out + scale * R(angle)^T (q - c_in)
-                u, v = qy - c_in, qx - c_in
-                py = c_out + scale * (np.cos(angle) * u + np.sin(angle) * v)
-                px = c_out + scale * (-np.sin(angle) * u + np.cos(angle) * v)
-                ys, xs = np.nonzero(out.label)
-                assert len(ys) >= 1, (angle, scale)
-                d = np.hypot(ys.mean() - py, xs.mean() - px)
-                assert d <= 1.0, (angle, scale, d)
-
-    def test_gamma_applied_to_input_only(self):
-        sample = flat_sample(40, seed=6)
-        out = warp_sample(sample, 24, gamma=1.3)
-        base = warp_sample(sample, 24)
-        assert not np.allclose(out.input, base.input)
-        assert np.array_equal(out.label, base.label)
-        assert np.array_equal(out.weight, base.weight)
-
-    def test_seeded_augment_deterministic(self):
-        sample = flat_sample(60, seed=7)
-        a = augment(sample, seed=11, out_extent=32)
-        b = augment(sample, seed=11, out_extent=32)
-        c = augment(sample, seed=12, out_extent=32)
-        assert np.array_equal(a.input, b.input)
-        assert not np.array_equal(a.input, c.input)
-
-    def test_elastic_field_smooth(self):
-        rng = np.random.default_rng(8)
-        disp = elastic_field(48, rng)
-        assert disp.shape == (2, 48, 48)
-        grad = np.abs(np.diff(disp, axis=2)).max()
-        assert grad < 3.0  # smoothed field has no pixel-scale jumps
-
-    def test_too_small_sample(self):
-        with pytest.raises(ValueError, match="small"):
-            warp_sample(flat_sample(20), 24)
