@@ -47,13 +47,13 @@ _CHOICES = {
     "cell_backend": ("hessian", "unet"),
     "tracer_backend": ("threshold", "unet"),
     "sources": ("mask", "cells"),
+    "normalize": ("0", "1"),
 }
 
 _DEFAULTS = {
     "tiles": "",
     "out": "",
     "threads": "1",
-    "seed": "0",
     "flatfield": "estimate",
     "ff_lower": "2",
     "ff_upper": "2500",
@@ -129,32 +129,32 @@ def validate_config(raw: dict) -> list[str]:
         try:
             return cast(merged[key])
         except ValueError:
-            errors.append(f"{key}={merged[key]!r}: not a number")
+            kind = "an integer" if cast is int else "a number"
+            errors.append(f"{key}={merged[key]!r}: not {kind}")
             return None
 
-    threads = number("threads", int)
-    if threads is not None and threads < 1:
-        errors.append(f"threads={threads}: must be >= 1")
+    for key, least in (("threads", 1), ("margin", 0), ("close", 1), ("roi_pad", 0)):
+        value = number(key, int)
+        if value is not None and value < least:
+            errors.append(f"{key}={value}: must be >= {least}")
+    for key in ("t", "low_voxel_um", "sigma_um"):
+        value = number(key)
+        if value is not None and value <= 0:
+            errors.append(f"{key}={value}: must be > 0")
     lower, upper = number("ff_lower"), number("ff_upper")
     if lower is not None and upper is not None and lower >= upper:
         errors.append(f"ff_lower={lower} must be < ff_upper={upper}")
     hi, lo = number("hi"), number("lo")
     if hi is not None and lo is not None and not 0 < lo < hi:
         errors.append(f"need 0 < lo < hi, got lo={lo} hi={hi}")
-    t = number("t")
-    if t is not None and t <= 0:
-        errors.append(f"t={t}: must be > 0")
-    margin = number("margin", int)
-    if margin is not None and margin < 0:
-        errors.append(f"margin={margin}: must be >= 0")
-    thigh = number("thigh")
-    if thigh is not None and not 0 <= thigh <= 1:
-        errors.append(f"thigh={thigh}: must be in [0, 1]")
+    for key in ("thigh", "theta"):
+        value = number(key)
+        if value is not None and not 0 <= value <= 1:
+            errors.append(f"{key}={value}: must be in [0, 1]")
     for key, choices in _CHOICES.items():
         if choices and merged[key] not in choices:
             errors.append(f"{key}={merged[key]!r}: expected one of {choices}")
-    for key in ("sigma_um", "traw", "close", "theta", "low_voxel_um", "seed",
-                "hessian_cutoff", "roi_pad", "normalize"):
+    for key in ("traw", "hessian_cutoff"):
         number(key)
     for key in ("cell_backend", "tracer_backend"):
         model_key = "cell_model" if key == "cell_backend" else "tracer_model"
@@ -163,9 +163,11 @@ def validate_config(raw: dict) -> list[str]:
         if merged[key] == "unet" and merged[model_key] and not Path(merged[model_key] + ".manifest").exists():
             errors.append(f"{model_key}: no model at {merged[model_key]!r}")
     try:
-        tuple(float(s) for s in merged["hessian_sigmas"].split(",") if s.strip())
+        sigmas = tuple(float(s) for s in merged["hessian_sigmas"].split(",") if s.strip())
+        if not sigmas or min(sigmas) <= 0:
+            raise ValueError
     except ValueError:
-        errors.append(f"hessian_sigmas={merged['hessian_sigmas']!r}: expected comma-separated numbers")
+        errors.append(f"hessian_sigmas={merged['hessian_sigmas']!r}: expected comma-separated numbers > 0")
 
     # referenced input paths must exist at validation time
     if merged["tiles"] and not Path(merged["tiles"]).is_dir():
@@ -321,9 +323,11 @@ def _load_tiles(tile_dir) -> dict[str, list]:
 
 
 def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
-    """Flat-field correct and stitch tiles into ``out/high_*`` and ``out/low_*``."""
+    """Flat-field correct and stitch tiles into ``out/high_*`` and ``out/low_*``; write
+    the first channel's tile placement, one ``z= index= offset=`` line per tile, to
+    ``out/layout.txt``."""
     tiles = _load_tiles(tile_dir)
-    threads = int(cfg.threads)
+    threads, margin = int(cfg.threads), int(cfg.margin)
 
     fields = {}
     mode = cfg.flatfield
@@ -345,9 +349,17 @@ def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
         for tile in channel_tiles:
             by_z.setdefault(tile.world_offset[2], []).append(tile)
         zs = sorted(by_z)
-        mosaics = _pmap(
-            lambda z: stitch.assemble_slice(by_z[z], margin=int(cfg.margin)), zs, threads
-        )
+
+        def mosaic(z):
+            layout = stitch.plan_layout([stitch.crop_margins(t, margin) for t in by_z[z]])
+            return layout, stitch.assemble_slice(by_z[z], layout=layout, margin=margin)
+
+        layouts, mosaics = zip(*_pmap(mosaic, zs, threads))
+        if ch == min(tiles):
+            (out / "layout.txt").write_text("".join(
+                f"z={z} index={tile.tile_index} offset={ox} {oy}\n"
+                for z, layout in zip(zs, layouts)
+                for tile, (ox, oy) in zip(by_z[z], layout.offsets)))
         stack = stitch.assemble_stack(
             list(zip(zs, mosaics)),
             pitch_um=channel_tiles[0].pixel_pitch,
@@ -478,7 +490,8 @@ def connectivity_table(cfg: PipelineConfig, signal_stack, mask_stack, cells, out
 STAGE_TABLE = [
     Stage("stitch", (),
           ("tiles", "flatfield", "ff_lower", "ff_upper", "margin", "low_voxel_um"),
-          _stacks(*(f"{res}_{ch}" for ch in imgcore.CHANNELS for res in ("high", "low"))),
+          _stacks(*(f"{res}_{ch}" for ch in imgcore.CHANNELS for res in ("high", "low")))
+          + ("layout.txt",),
           lambda cfg, out: stitch_tiles(cfg, cfg.tiles, out)),
     Stage("locate", ("stitch",),
           ("traw", "sigma_um", "cell_backend", "cell_model", "thigh", "hessian_sigmas",
@@ -556,18 +569,6 @@ def _cmd_stitch(args) -> int:
                        flatfield=args.flatfield, threads=args.threads)
     report = RunReport()
     _run_stage(STAGE_TABLE[0], cfg, report)
-    layout_lines = []
-    tiles = _load_tiles(args.tiles)
-    first_channel = sorted(tiles)[0]
-    by_z = {}
-    for tile in tiles[first_channel]:
-        by_z.setdefault(tile.world_offset[2], []).append(tile)
-    for z in sorted(by_z):
-        cropped = [stitch.crop_margins(t, args.margin) for t in by_z[z]]
-        layout = stitch.plan_layout(cropped)
-        for tile, (ox, oy) in zip(cropped, layout.offsets):
-            layout_lines.append(f"z={z} index={tile.tile_index} offset={ox} {oy}")
-    (Path(args.out) / "layout.txt").write_text("\n".join(layout_lines) + "\n")
     print(report.text(), end="")
     return 0
 

@@ -11,7 +11,10 @@ from the same integer scenes:
 * tracer truth uses the channel-subtraction formula directly on the scenes,
 * the rough injection mask is computed by deliberately naive reference code
   (per-voxel block averaging, dense kernel convolution, BFS flood fill) that
-  shares no code with the production pipeline,
+  shares no code with the production pipeline; the ``reference_*`` functions
+  are also the test oracles for ``downsample_stack``, ``gaussian_blur``,
+  ``largest_component`` and ``rough_localize``, so they must keep sharing no
+  code with production,
 * region tables are accumulated with per-region loops over the truth grids.
 
 Structures are kept disjoint by construction (vessels are carved around
@@ -255,10 +258,10 @@ def _ring_mask(shape, cx, cy, radius, width) -> np.ndarray:
     return np.abs(d - radius) <= width / 2.0
 
 
-# -- deliberately naive reference implementations (truth side) --------------
+# -- deliberately naive reference implementations (truth side, test oracles) -
 
 
-def _block_mean_low(volume: np.ndarray, voxel, target: float) -> np.ndarray:
+def reference_block_mean(volume: np.ndarray, voxel, target: float) -> np.ndarray:
     """Per-target-voxel box average using the voxel-centre rule."""
     nz, ny, nx = volume.shape
     vx, vy, vz = voxel
@@ -288,7 +291,7 @@ def _mirror_axis(n: int, radius: int) -> np.ndarray:
     return np.where(j > n - 1, 2 * (n - 1) - j, j)
 
 
-def _dense_gaussian_blur(volume: np.ndarray, sigma_vox: float) -> np.ndarray:
+def reference_gaussian_blur(volume: np.ndarray, sigma_vox: float) -> np.ndarray:
     """Full 3D kernel accumulated offset by offset over a mirrored pad."""
     r = max(1, int(math.ceil(4 * sigma_vox)))
     ax = np.arange(-r, r + 1)
@@ -305,8 +308,9 @@ def _dense_gaussian_blur(volume: np.ndarray, sigma_vox: float) -> np.ndarray:
     return out
 
 
-def _bfs_largest(mask: np.ndarray) -> np.ndarray:
-    """Largest 6-connected component via a queue flood fill."""
+def reference_largest_component(mask: np.ndarray) -> np.ndarray:
+    """Largest 6-connected component via a queue flood fill; on a size tie the
+    component reached first in raster order (smallest linear index) wins."""
     from collections import deque
 
     mask = mask.astype(bool)
@@ -345,8 +349,8 @@ def reference_rough_localize(low_cb: np.ndarray, voxel_um: float, t_raw: float, 
     binary = (low_cb > t_raw).astype(np.float64)
     if not binary.any():
         return np.zeros(low_cb.shape, dtype=bool)
-    smoothed = _dense_gaussian_blur(binary, sigma_um / voxel_um)
-    return _bfs_largest(smoothed > 0.5 * smoothed.max())
+    smoothed = reference_gaussian_blur(binary, sigma_um / voxel_um)
+    return reference_largest_component(smoothed > 0.5 * smoothed.max())
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +474,8 @@ def generate_phantom(spec: PhantomSpec):
     # injection truth on the 50 µm grid via the naive reference path; the
     # pipeline reads its low stack back from an f32 file, so the truth is
     # computed from the same f32-quantized block means
-    low_cb = _block_mean_low(nominal["CB"], (spec.pitch_um, spec.pitch_um, spec.z_step_um), 50.0)
+    low_cb = reference_block_mean(nominal["CB"], (spec.pitch_um, spec.pitch_um, spec.z_step_um),
+                                  50.0)
     low_cb = low_cb.astype(np.float32).astype(np.float64)
     inj_low = reference_rough_localize(low_cb, 50.0, t_raw=4500.0, sigma_um=150.0)
 
@@ -721,6 +726,14 @@ def _subsets(values):
         yield tuple(v for i, v in enumerate(values) if bits >> i & 1)
 
 
+def _truth_points(centers: list) -> np.ndarray:
+    """Per-slice (x, y) centres as one (n, 3) array of (x, y, slice)."""
+    if not centers:
+        return np.empty((0, 3), dtype=np.int64)
+    return np.concatenate([np.column_stack([c, np.full(len(c), z, dtype=np.int64)])
+                           for z, c in enumerate(centers)])
+
+
 def hessian_scale_search(
     slices: np.ndarray,
     centers: list,
@@ -740,11 +753,7 @@ def hessian_scale_search(
     """
     from .injsite import detect_cells, hessian_cell_filter
 
-    truth = np.concatenate([
-        np.column_stack([c, np.full(len(c), z, dtype=np.int64)])
-        for z, c in enumerate(centers)
-    ]) if centers else np.empty((0, 3), dtype=np.int64)
-
+    truth = _truth_points(centers)
     best = None
     for subset in _subsets(sigmas):
         responses = np.stack([hessian_cell_filter(s, subset) for s in slices])
@@ -775,10 +784,7 @@ def evaluate_hessian(slices: np.ndarray, centers: list, sigmas, threshold: float
     """Apply a fixed scale set + threshold; returns (f1, MatchResult)."""
     from .injsite import detect_cells, hessian_cell_filter
 
-    truth = np.concatenate([
-        np.column_stack([c, np.full(len(c), z, dtype=np.int64)])
-        for z, c in enumerate(centers)
-    ]) if centers else np.empty((0, 3), dtype=np.int64)
+    truth = _truth_points(centers)
     responses = np.stack([hessian_cell_filter(s, sigmas) for s in slices])
     cloud = detect_cells(responses, t_high=threshold)
     m = match_detections(cloud, truth, radius_px)

@@ -7,8 +7,6 @@ concatenated background/tracer channels (two input channels).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .infer import predict_whole, sliding_window_predict
 from .io import load_model, save_model
 from .loss import weighted_logistic_loss
@@ -21,22 +19,6 @@ from .train import (
     train,
 )
 from .unet import UNet, UNetParams, init_unet, margin, next_valid_input, output_extent, valid_input
-
-
-def unet_forward(net: UNetParams, image: np.ndarray) -> np.ndarray:
-    """Saliency map (1, ho, wo) for one input tile."""
-    return UNet(net).forward(image)
-
-
-def unet_backward(net: UNetParams, image: np.ndarray, loss_grad: np.ndarray) -> dict:
-    """Parameter gradients for one tile given the loss gradient wrt logits."""
-    model = UNet(net)
-    model.forward(image)
-    loss_grad = np.asarray(loss_grad, dtype=np.float64)
-    if loss_grad.ndim == 2:
-        loss_grad = loss_grad[None]
-    return model.backward(loss_grad)
-
 
 __all__ = [
     "TrainingDiverged",
@@ -55,8 +37,6 @@ __all__ = [
     "save_model",
     "sliding_window_predict",
     "train",
-    "unet_backward",
-    "unet_forward",
     "valid_input",
     "weighted_logistic_loss",
 ]

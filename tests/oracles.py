@@ -1,7 +1,10 @@
 """Brute-force reference implementations used as test oracles.
 
 Everything here is deliberately naive (explicit loops, BFS queues, dense
-kernels) and independent of the library's vectorized code paths.
+kernels) and independent of the library's vectorized code paths.  The naive
+3D references (block mean, dense Gaussian blur, largest 6-connected
+component, rough localization) live in ``marmopipe.evalsynth``, which builds
+the phantom truth with them; the tests call those directly.
 """
 
 from __future__ import annotations
@@ -9,118 +12,10 @@ from __future__ import annotations
 import math
 from collections import deque
 
-
 import numpy as np
 
 
-def block_mean_3d(data: np.ndarray, voxel, target) -> np.ndarray:
-    """Nested-loop box average with the voxel-centre rule."""
-    nz, ny, nx = data.shape
-    vx, vy, vz = voxel
-    tx, ty, tz = target
-
-    def bins(n, h, t):
-        return [int(math.floor(((i + 0.5) * h) / t)) for i in range(n)]
-
-    bx, by, bz = bins(nx, vx, tx), bins(ny, vy, ty), bins(nz, vz, tz)
-    out = np.zeros((bz[-1] + 1, by[-1] + 1, bx[-1] + 1))
-    cnt = np.zeros_like(out)
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                out[bz[z], by[y], bx[x]] += data[z, y, x]
-                cnt[bz[z], by[y], bx[x]] += 1
-    return out / cnt
-
-
-def mirror_index(i: int, n: int) -> int:
-    if n == 1:
-        return 0
-    period = 2 * (n - 1)
-    j = abs(i) % period
-    return period - j if j > n - 1 else j
-
-
-def dense_gaussian_blur(volume: np.ndarray, sigmas_vox) -> np.ndarray:
-    """Direct dense convolution with the full product kernel (mirror pad)."""
-    volume = np.asarray(volume, dtype=np.float64)
-    nd = volume.ndim
-    sigmas = [float(s) for s in (sigmas_vox if np.iterable(sigmas_vox) else [sigmas_vox] * nd)]
-    radii = [max(1, int(math.ceil(4 * s))) for s in sigmas]
-    axes1d = []
-    for s, r in zip(sigmas, radii):
-        ax = np.exp(-0.5 * (np.arange(-r, r + 1) / s) ** 2)
-        axes1d.append(ax)
-    kernel = axes1d[0]
-    for ax in axes1d[1:]:
-        kernel = np.multiply.outer(kernel, ax)
-    kernel = kernel / kernel.sum()
-    idx = [np.array([mirror_index(i, volume.shape[d]) for i in
-                     range(-radii[d], volume.shape[d] + radii[d])])
-           for d in range(nd)]
-    padded = volume[np.ix_(*idx)]
-    out = np.zeros_like(volume)
-    for offset in np.ndindex(*kernel.shape):
-        w = kernel[offset]
-        sl = tuple(slice(o, o + volume.shape[d]) for d, o in enumerate(offset))
-        out += w * padded[sl]
-    return out
-
-
-def flood_fill_components(mask: np.ndarray, offsets) -> list[set]:
-    """BFS connected components; returns a list of voxel-index sets."""
-    mask = np.asarray(mask, dtype=bool)
-    seen = np.zeros_like(mask)
-    comps = []
-    dims = mask.shape
-    for seed in map(tuple, np.argwhere(mask)):
-        if seen[seed]:
-            continue
-        comp = set()
-        queue = deque([seed])
-        seen[seed] = True
-        while queue:
-            cur = queue.popleft()
-            comp.add(cur)
-            for off in offsets:
-                nxt = tuple(c + o for c, o in zip(cur, off))
-                if all(0 <= v < d for v, d in zip(nxt, dims)) and mask[nxt] and not seen[nxt]:
-                    seen[nxt] = True
-                    queue.append(nxt)
-        comps.append(comp)
-    return comps
-
-
-OFFSETS_6 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 OFFSETS_8 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
-
-
-def largest_component_oracle(mask: np.ndarray) -> np.ndarray:
-    """Largest 6-connected component, smallest-min-index tie break."""
-    comps = flood_fill_components(mask, OFFSETS_6)
-    out = np.zeros(mask.shape, dtype=bool)
-    if not comps:
-        return out
-    strides = (mask.shape[1] * mask.shape[2], mask.shape[2], 1)
-
-    def min_linear(comp):
-        return min(sum(c * s for c, s in zip(v, strides)) for v in comp)
-
-    best = max(comps, key=lambda c: (len(c), -min_linear(c)))
-    for v in best:
-        out[v] = True
-    return out
-
-
-def rough_localize_oracle(volume: np.ndarray, voxel_vox_um, t_raw: float, sigma_um: float) -> np.ndarray:
-    """Dense-convolution + flood-fill reference for injection localization."""
-    binary = (volume > t_raw).astype(np.float64)
-    if not binary.any():
-        return np.zeros(volume.shape, dtype=bool)
-    vz, vy, vx = voxel_vox_um
-    smoothed = dense_gaussian_blur(binary, (sigma_um / vz, sigma_um / vy, sigma_um / vx))
-    t_low = 0.5 * smoothed.max()
-    return largest_component_oracle(smoothed > t_low)
 
 
 def subtract_oracle(cg, cr, t):

@@ -22,6 +22,7 @@ from marmopipe.evalsynth import (
     generate_phantom,
     hessian_scale_search,
     match_detections,
+    reference_rough_localize,
     vignette_field,
 )
 from marmopipe.flatfield import estimate_shading
@@ -36,7 +37,6 @@ from marmopipe.nnseg import (
     predict_whole,
     sliding_window_predict,
     train,
-    unet_forward,
     weighted_logistic_loss,
 )
 from marmopipe.stitch import assemble_slice
@@ -120,7 +120,7 @@ def test_c3_rough_localize_oracle():
             Stack3D(vol, (50.0, 50.0, 50.0), channel="CB", dtype="u16"),
             t_raw=4500.0, sigma_um=sigma_um,
         ).mask.data > 0
-        want = oracles.rough_localize_oracle(vol, (50.0, 50.0, 50.0), 4500.0, sigma_um)
+        want = reference_rough_localize(vol, 50.0, 4500.0, sigma_um)
         cases += 1
         if not np.array_equal(got, want):
             mismatches += 1
@@ -299,7 +299,7 @@ def test_c7_overfit():
     tp = fp = fn = 0
     m = trained.margin // 2
     for img, pts in zip(images, centers):
-        sal = unet_forward(trained, img[None])[0]
+        sal = UNet(trained).forward(img[None])[0]
         cloud = detect_cells(sal[None], t_high=0.5)
         inside = [(x - m, y - m) for x, y in pts
                   if m <= x < 108 - m and m <= y < 108 - m]

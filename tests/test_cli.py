@@ -101,6 +101,15 @@ class TestConfig:
     def test_threads_validation(self):
         assert any("threads" in e for e in validate_config({"threads": "0"}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("close", "3.5"), ("roi_pad", "2.5"), ("normalize", "0.5"),
+        ("close", "0"), ("roi_pad", "-3"), ("normalize", "2"),
+        ("low_voxel_um", "0"), ("sigma_um", "0"), ("hessian_sigmas", ""),
+        ("hessian_sigmas", "2,0"), ("theta", "1.5"), ("seed", "0"),
+    ])
+    def test_value_validation(self, key, value):
+        assert any(key in e for e in validate_config({key: value}))
+
     def test_empty_field_validation(self):
         assert any(e.startswith("field:") for e in validate_config({"field": ""}))
         assert not any(e.startswith("field:") for e in validate_config({"field": "identity"}))
@@ -318,18 +327,30 @@ class TestMainEntry:
         assert cli.main(["run", "--config", str(cfg)]) == 1
         assert not (tmp_path / "run").exists()
 
-    def test_stitch_command_emits_layout_report(self, tmp_path, capsys):
+    def test_stitch_command_emits_layout_report(self, tmp_path, capsys, monkeypatch):
         spec = small_spec(n_cells=0, n_axons=0, n_vessels=0, inj_amp=0.0)
         write_phantom(tmp_path, spec)
-        rc = cli.main([
-            "stitch", "--tiles", str(tmp_path / "tiles"), "--margin", "20",
-            "--flatfield", "none", "--out", str(tmp_path / "st"),
-        ])
-        assert rc == 0
+        reads = []
+        read_tile = cli.imgcore.read_tile
+        monkeypatch.setattr(cli.imgcore, "read_tile", lambda p: reads.append(p) or read_tile(p))
+        argv = ["stitch", "--tiles", str(tmp_path / "tiles"), "--margin", "20",
+                "--flatfield", "none", "--out", str(tmp_path / "st")]
+        assert cli.main(argv) == 0
+        n_tiles = 3 * spec.grid_x * spec.grid_y * spec.n_sections
+        assert len(reads) == len(set(reads)) == n_tiles  # each tile read once
         layout = (tmp_path / "st" / "layout.txt").read_text().splitlines()
         assert len(layout) == spec.grid_x * spec.grid_y * spec.n_sections
         assert all("index=" in line and "offset=" in line for line in layout)
         assert (tmp_path / "st" / "high_CG.hdr").exists()
+
+        reads.clear()
+        assert cli.main(argv) == 0  # same key: the stage is skipped, no tile is read
+        assert reads == []
+        assert "stage=stitch status=skip" in capsys.readouterr().out
+
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
+        assert ((tmp_path / "run" / "layout.txt").read_bytes()
+                == (tmp_path / "st" / "layout.txt").read_bytes())
 
 
 class TestSubcommands:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marmopipe.evalsynth import reference_largest_component, reference_rough_localize
 from marmopipe.imgcore import Stack3D
 from marmopipe.injsite import (
     CellPointCloud,
@@ -10,8 +11,6 @@ from marmopipe.injsite import (
     roi_from_mask,
     rough_localize,
 )
-
-import oracles
 
 
 def stack_of(data, voxel=(50.0, 50.0, 50.0), channel="CB"):
@@ -28,7 +27,7 @@ class TestRoughLocalize:
         vol = np.zeros((24, 24, 24))
         vol[9:15, 9:15, 9:15] = 10000.0
         got = rough_localize(stack_of(vol)).mask.data > 0
-        want = oracles.rough_localize_oracle(vol, (50.0, 50.0, 50.0), 4500.0, 150.0)
+        want = reference_rough_localize(vol, 50.0, 4500.0, 150.0)
         assert np.array_equal(got, want)
         assert want[11, 11, 11]  # central region survives
         # nothing survives further than 2 sigma (6 voxels) from the cube
@@ -49,7 +48,7 @@ class TestRoughLocalize:
         for k in range(10):
             vol = (rng.random((16, 16, 16)) > 0.7) * 8000.0
             got = rough_localize(stack_of(vol), sigma_um=50.0).mask.data > 0
-            want = oracles.rough_localize_oracle(vol, (50.0,) * 3, 4500.0, 50.0)
+            want = reference_rough_localize(vol, 50.0, 4500.0, 50.0)
             assert np.array_equal(got, want), f"case {k}"
 
     def test_scale_invariance_of_relative_threshold(self):
@@ -84,7 +83,7 @@ class TestLargestComponent:
         for _ in range(15):
             vol = rng.random((10, 10, 10)) > 0.72
             got = largest_component(stack_of(vol.astype(float))).data > 0
-            want = oracles.largest_component_oracle(vol)
+            want = reference_largest_component(vol)
             assert np.array_equal(got, want)
 
 

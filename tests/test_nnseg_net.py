@@ -11,8 +11,6 @@ from marmopipe.nnseg import (
     predict_whole,
     save_model,
     sliding_window_predict,
-    unet_backward,
-    unet_forward,
     valid_input,
     weighted_logistic_loss,
 )
@@ -61,32 +59,32 @@ class TestForward:
         net = init_unet(2, 4, 1, seed=0)
         for k in net.params:
             net.params[k][:] = 0.0
-        out = unet_forward(net, np.random.default_rng(0).random((1, 28, 28)))
+        out = UNet(net).forward(np.random.default_rng(0).random((1, 28, 28)))
         assert out.shape == (1, 12, 12)
         assert np.allclose(out, 0.5)
 
     def test_output_in_open_unit_interval(self):
         net = init_unet(2, 4, 1, seed=1)
-        out = unet_forward(net, np.random.default_rng(1).random((1, 28, 28)) * 100)
+        out = UNet(net).forward(np.random.default_rng(1).random((1, 28, 28)) * 100)
         assert (out > 0).all() and (out < 1).all()
 
     def test_channel_mismatch(self):
         net = init_unet(2, 4, 2, seed=0)
         with pytest.raises(ValueError, match="channels"):
-            unet_forward(net, np.zeros((1, 28, 28)))
+            UNet(net).forward(np.zeros((1, 28, 28)))
 
     def test_too_small_input(self):
         net = init_unet(3, 4, 1, seed=0)
         with pytest.raises(ValueError):
-            unet_forward(net, np.zeros((1, 30, 30)))
+            UNet(net).forward(np.zeros((1, 30, 30)))
 
     def test_input_scale_applied(self):
         net = init_unet(2, 4, 1, seed=2)
         x = np.random.default_rng(2).random((1, 28, 28))
-        a = unet_forward(net, x * 65535.0)
+        a = UNet(net).forward(x * 65535.0)
         net.input_scale = 1.0 / 65535.0
-        b = unet_forward(net, x * 65535.0)
-        c = unet_forward(init_unet(2, 4, 1, seed=2), x)
+        b = UNet(net).forward(x * 65535.0)
+        c = UNet(init_unet(2, 4, 1, seed=2)).forward(x)
         assert not np.allclose(a, b)
         assert np.allclose(b, c)
 
@@ -145,8 +143,9 @@ class TestLoss:
 class TestBackward:
     def test_zero_loss_grad_zero_param_grads(self):
         net = init_unet(2, 4, 1, seed=6)
-        grads = unet_backward(net, np.random.default_rng(6).random((1, 28, 28)),
-                              np.zeros((1, 12, 12)))
+        model = UNet(net)
+        model.forward(np.random.default_rng(6).random((1, 28, 28)))
+        grads = model.backward(np.zeros((1, 12, 12)))
         assert all(not g.any() for g in grads.values())
 
     def test_masked_region_no_gradient(self):
@@ -248,9 +247,9 @@ class TestSerialization:
     def test_predictions_survive_round_trip(self, tmp_path):
         net = init_unet(2, 4, 1, seed=10)
         x = np.random.default_rng(10).random((1, 28, 28))
-        a = unet_forward(net, x)
+        a = UNet(net).forward(x)
         save_model(net, tmp_path / "m")
-        b = unet_forward(load_model(tmp_path / "m"), x)
+        b = UNet(load_model(tmp_path / "m")).forward(x)
         assert np.abs(a - b).max() < 1e-5  # f32 storage quantization
 
 
