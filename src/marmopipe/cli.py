@@ -216,7 +216,9 @@ def _pmap(fn, items, threads: int):
 def _hash_files(paths) -> str:
     digest = hashlib.sha256()
     for p in sorted(str(p) for p in paths):
-        digest.update(Path(p).read_bytes())
+        with open(p, "rb") as f:
+            while chunk := f.read(1 << 20):
+                digest.update(chunk)
     return digest.hexdigest()[:12]
 
 
@@ -451,16 +453,14 @@ def segment_tracer(cfg: PipelineConfig, cg_stack, cr_stack, out: Path) -> None:
 
 
 def map_stacks(cfg: PipelineConfig, jobs) -> None:
-    """Resample each ``(source, interpolation, destination)`` job through ``cfg.field``:
-    read every source, load a saved field once, map every stack, then write them."""
-    stacks = [imgcore.read_stack(src) for src, _, _ in jobs]
-    if cfg.field == "identity":
-        fields = [mapping.identity_field(s.data.shape, s.voxel_size) for s in stacks]
-    else:
-        fields = [mapping.load_field(cfg.field)] * len(stacks)
-    mapped = [mapping.apply_field(s, f, interpolation=interp)
-              for s, f, (_, interp, _) in zip(stacks, fields, jobs)]
-    for stack, (_, _, dst) in zip(mapped, jobs):
+    """Resample each ``(source, interpolation, destination)`` job through ``cfg.field``,
+    loading a saved field once.  ``field=identity`` writes each source as it was read:
+    resampling through a zero field on the source's own grid is an exact copy."""
+    field = None if cfg.field == "identity" else mapping.load_field(cfg.field)
+    for src, interp, dst in jobs:
+        stack = imgcore.read_stack(src)
+        if field is not None:
+            stack = mapping.apply_field(stack, field, interpolation=interp)
         imgcore.write_stack(stack, dst)
 
 

@@ -9,6 +9,15 @@ the registration itself is out of scope here.
 When reference and source share the same grid geometry, sampling positions
 are formed as ``index + displacement/voxel`` so a zero field is exactly the
 identity (no µm round trip that could perturb the last bit).
+
+``apply_field`` pulls back one reference z-slice at a time: it allocates the
+result once and builds indices, weights and gathers for a single (ny, nx)
+slice, so its working memory beyond input and output is a few slices.  When
+an axis's fractional index is 0 across a whole slice, its upper corner has
+weight 0 everywhere and would add only 0.0, so trilinear sampling visits the
+floor corner of that axis alone; the result is bit-identical to visiting all
+eight corners.  A y-only field needs two gathers per slice and a zero field
+on the source grid one.
 """
 
 from __future__ import annotations
@@ -62,34 +71,32 @@ def save_field(field: DisplacementField, prefix) -> None:
 
 
 def load_field(prefix) -> DisplacementField:
-    parts = [read_stack(f"{prefix}_{tag}").data for tag in ("dx", "dy", "dz")]
-    voxel = read_stack(f"{prefix}_dx").voxel_size
-    return DisplacementField(disp=np.stack(parts), voxel_size=voxel)
+    parts = [read_stack(f"{prefix}_{tag}") for tag in ("dx", "dy", "dz")]
+    return DisplacementField(disp=np.stack([p.data for p in parts]), voxel_size=parts[0].voxel_size)
 
 
 def _source_indices(field: DisplacementField, source: Stack3D):
-    """Continuous (z, y, x) sampling indices into the source grid."""
+    """Yield ``(z, ci_z, ci_y, ci_x)``: continuous sampling indices into the
+    source grid for each reference z-slice, each (ny, nx)."""
     nz, ny, nx = field.shape
     vx, vy, vz = field.voxel_size
     sx, sy, sz = source.voxel_size
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nx, dtype=np.float64),
-        indexing="ij",
-    )
+    yy = np.arange(ny, dtype=np.float64)[:, None]
+    xx = np.arange(nx, dtype=np.float64)[None, :]
     congruent = field.shape == source.data.shape and np.allclose(
         field.voxel_size, source.voxel_size, rtol=0, atol=1e-12
     )
-    if congruent:
-        ci_x = xx + field.disp[0] / sx
-        ci_y = yy + field.disp[1] / sy
-        ci_z = zz + field.disp[2] / sz
-    else:
-        ci_x = ((xx + 0.5) * vx + field.disp[0]) / sx - 0.5
-        ci_y = ((yy + 0.5) * vy + field.disp[1]) / sy - 0.5
-        ci_z = ((zz + 0.5) * vz + field.disp[2]) / sz - 0.5
-    return ci_z, ci_y, ci_x
+    for z in range(nz):
+        dx, dy, dz = field.disp[:, z]
+        if congruent:
+            yield z, z + dz / sz, yy + dy / sy, xx + dx / sx
+        else:
+            yield (
+                z,
+                ((z + 0.5) * vz + dz) / sz - 0.5,
+                ((yy + 0.5) * vy + dy) / sy - 0.5,
+                ((xx + 0.5) * vx + dx) / sx - 0.5,
+            )
 
 
 def _gather(data: np.ndarray, zi, yi, xi, valid) -> np.ndarray:
@@ -108,34 +115,39 @@ def apply_field(stack: Stack3D, field: DisplacementField, interpolation: str = "
     if interpolation not in ("linear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
     data = stack.data
-    if interpolation == "linear" and float(np.abs(data - np.rint(data)).max(initial=0.0)) == 0.0 \
-            and stack.dtype == "u16" and len(np.unique(data)) < 64:
+    if interpolation == "linear" and stack.dtype == "u16" \
+            and float(np.abs(data - np.rint(data)).max(initial=0.0)) == 0.0 \
+            and len(np.unique(data)) < 64:
         log.warning("linear interpolation of an integer-labeled volume; did you mean nearest?")
-    ci_z, ci_y, ci_x = _source_indices(field, stack)
     nz, ny, nx = data.shape
-
-    if interpolation == "nearest":
-        zi = np.rint(ci_z).astype(np.int64)
-        yi = np.rint(ci_y).astype(np.int64)
-        xi = np.rint(ci_x).astype(np.int64)
-        valid = (zi >= 0) & (zi < nz) & (yi >= 0) & (yi < ny) & (xi >= 0) & (xi < nx)
-        out = _gather(data, zi, yi, xi, valid)
-    else:
+    out = np.zeros(field.shape, dtype=np.float64)
+    for z, ci_z, ci_y, ci_x in _source_indices(field, stack):
+        if interpolation == "nearest":
+            zi = np.rint(ci_z).astype(np.int64)
+            yi = np.rint(ci_y).astype(np.int64)
+            xi = np.rint(ci_x).astype(np.int64)
+            valid = (zi >= 0) & (zi < nz) & (yi >= 0) & (yi < ny) & (xi >= 0) & (xi < nx)
+            out[z] = _gather(data, zi, yi, xi, valid)
+            continue
         z0 = np.floor(ci_z).astype(np.int64)
         y0 = np.floor(ci_y).astype(np.int64)
         x0 = np.floor(ci_x).astype(np.int64)
         fz, fy, fx = ci_z - z0, ci_y - y0, ci_x - x0
-        out = np.zeros(ci_z.shape, dtype=np.float64)
-        for dz, wz in ((0, 1.0 - fz), (1, fz)):
-            for dy, wy in ((0, 1.0 - fy), (1, fy)):
-                for dx, wx in ((0, 1.0 - fx), (1, fx)):
+        # an axis whose fraction is 0 on the whole slice puts weight 0 on its
+        # upper corner, which would only add 0.0: visit its floor corner alone
+        corners_z, corners_y, corners_x = (
+            ((0, 1.0 - f), (1, f)) if f.any() else ((0, 1.0 - f),) for f in (fz, fy, fx)
+        )
+        for dz, wz in corners_z:
+            for dy, wy in corners_y:
+                for dx, wx in corners_x:
                     zi, yi, xi = z0 + dz, y0 + dy, x0 + dx
                     weight = wz * wy * wx
                     valid = (
                         (zi >= 0) & (zi < nz) & (yi >= 0) & (yi < ny)
                         & (xi >= 0) & (xi < nx) & (weight != 0)
                     )
-                    out += weight * _gather(data, zi, yi, xi, valid)
+                    out[z] += weight * _gather(data, zi, yi, xi, valid)
     return Stack3D(data=out, voxel_size=field.voxel_size, channel=stack.channel, dtype=stack.dtype)
 
 

@@ -18,7 +18,7 @@ from marmopipe.cli import (
 from marmopipe.evalsynth import PhantomSpec, generate_phantom
 from marmopipe.imgcore import read_stack, write_tile
 from marmopipe.injsite import CellPointCloud
-from marmopipe.mapping import ConnectivityTable
+from marmopipe.mapping import ConnectivityTable, identity_field, save_field
 
 
 def small_spec(**kw):
@@ -402,6 +402,22 @@ class TestSubcommands:
         got = ConnectivityTable.load(tmp_path / "table.txt")
         assert got.sources == truth.table.sources
         assert got.targets == truth.table.targets
+
+    def test_zero_field_maps_like_identity(self, tmp_path):
+        """field=identity writes what resampling through a saved zero field writes."""
+        run, _ = self.make_run(tmp_path)
+        for src, dst, interp in (("tracer_L", "mapped_L", "linear"),
+                                 ("inj_mask", "mapped_mask", "nearest")):
+            stack = read_stack(run / src)
+            prefix = tmp_path / f"zero_{src}"
+            save_field(identity_field(stack.data.shape, stack.voxel_size), prefix)
+            rc = cli.main(["map", "--in", str(run / src), "--field", str(prefix),
+                           "--interp", interp, "--out", str(tmp_path / dst)])
+            assert rc == 0
+            for ext in (".hdr", ".raw"):
+                resampled = (tmp_path / f"{dst}{ext}").read_bytes()
+                assert resampled == (run / f"{dst}{ext}").read_bytes()
+                assert resampled == (run / f"{src}{ext}").read_bytes()
 
     def test_train_and_predict_commands(self, tmp_path, capsys):
         from marmopipe.evalsynth import generate_cell_slices

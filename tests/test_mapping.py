@@ -46,19 +46,31 @@ class TestApplyField:
         assert np.array_equal(out.data[:, :, :-1], stack.data[:, :, 1:])
         assert np.all(out.data[:, :, -1] == 0.0)
 
-    def test_random_smooth_field_vs_scalar_oracle(self):
+    @pytest.mark.parametrize("case", ["random", "y_only", "integer_shift"])
+    def test_random_smooth_field_vs_scalar_oracle(self, case):
         rng = np.random.default_rng(3)
-        stack = stack_of(rng.random((5, 7, 6)), (2.0, 3.0, 4.0))
-        field = identity_field((4, 5, 5), (3.0, 3.5, 4.5))
-        field.disp[:] = rng.normal(0, 2.0, field.disp.shape)
+        if case == "random":
+            stack = stack_of(rng.random((5, 7, 6)), (2.0, 3.0, 4.0))
+            field = identity_field((4, 5, 5), (3.0, 3.5, 4.5))
+            field.disp[:] = rng.normal(0, 2.0, field.disp.shape)
+        else:  # congruent grids, so x and z (and with whole voxels, y) fractions are 0
+            stack = stack_of(rng.random((4, 5, 5)), (3.0, 3.5, 4.5))
+            field = identity_field((4, 5, 5), (3.0, 3.5, 4.5))
+            if case == "y_only":
+                field.disp[1] = rng.normal(0, 2.0, field.disp[1].shape)
+            else:
+                voxels = rng.integers(-2, 3, field.disp.shape)
+                field.disp[:] = voxels * np.array(field.voxel_size)[:, None, None, None]
         out = apply_field(stack, field, interpolation="linear")
-        for z in range(4):
-            for y in range(5):
-                for x in range(5):
+        (vx, vy, vz), (sx, sy, sz) = field.voxel_size, stack.voxel_size
+        nz, ny, nx = field.shape
+        for z in range(nz):
+            for y in range(ny):
+                for x in range(nx):
                     pos = np.array([
-                        ((z + 0.5) * 4.5 + field.disp[2, z, y, x]) / 4.0 - 0.5,
-                        ((y + 0.5) * 3.5 + field.disp[1, z, y, x]) / 3.0 - 0.5,
-                        ((x + 0.5) * 3.0 + field.disp[0, z, y, x]) / 2.0 - 0.5,
+                        ((z + 0.5) * vz + field.disp[2, z, y, x]) / sz - 0.5,
+                        ((y + 0.5) * vy + field.disp[1, z, y, x]) / sy - 0.5,
+                        ((x + 0.5) * vx + field.disp[0, z, y, x]) / sx - 0.5,
                     ])
                     want = oracles.linear_resample_oracle(stack.data, pos)
                     assert abs(out.data[z, y, x] - want) < 1e-12
@@ -200,3 +212,21 @@ def test_linear_on_labels_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="marmopipe.mapping"):
         apply_field(labels, field, interpolation="linear")
     assert any("nearest" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "nearest"])
+def test_apply_field_memory_is_bounded_by_slices(interpolation):
+    import tracemalloc
+    rng = np.random.default_rng(12)
+    stack = stack_of(rng.random((24, 40, 32)), (1.34, 1.34, 50.0))
+    field = identity_field(stack.data.shape, stack.voxel_size)
+    field.disp[1] = 3.0 * np.sin(np.arange(32) / 5.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        apply_field(stack, field, interpolation=interpolation)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack.data.nbytes
