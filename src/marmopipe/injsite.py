@@ -72,14 +72,12 @@ class CellPointCloud:
                    scores=np.array(scores, dtype=np.float64))
 
 
-def largest_component(binary: Stack3D, connectivity: int = 6) -> Stack3D:
+def largest_component(binary: Stack3D) -> Stack3D:
     """Zero all but the largest connected component of a binary stack.
 
     Only 6-connectivity is supported; ties are broken towards the component
     with the smallest minimum linear index.  Empty input stays empty.
     """
-    if connectivity != 6:
-        raise ValueError("only 6-connectivity is supported in 3D")
     kept = largest_component_mask(binary.data > 0, CONN_6_3D)
     return Stack3D(
         data=kept.astype(np.float64),

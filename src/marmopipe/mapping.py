@@ -71,8 +71,21 @@ def save_field(field: DisplacementField, prefix) -> None:
 
 
 def load_field(prefix) -> DisplacementField:
-    parts = [read_stack(f"{prefix}_{tag}") for tag in ("dx", "dy", "dz")]
-    return DisplacementField(disp=np.stack([p.data for p in parts]), voxel_size=parts[0].voxel_size)
+    """Read ``<prefix>_dx/_dy/_dz`` into one (3, nz, ny, nx) array.
+
+    The parts are read one at a time and copied into place, so at most one
+    part is held beside the field."""
+    disp = None
+    for i, tag in enumerate(("dx", "dy", "dz")):
+        part = read_stack(f"{prefix}_{tag}")
+        if disp is None:
+            disp = np.empty((3,) + part.data.shape, dtype=np.float64)
+            voxel_size = part.voxel_size
+        elif part.data.shape != disp.shape[1:]:
+            raise ValueError(f"{prefix}_{tag} does not match the shape of {prefix}_dx")
+        disp[i] = part.data
+        del part
+    return DisplacementField(disp=disp, voxel_size=voxel_size)
 
 
 def _source_indices(field: DisplacementField, source: Stack3D):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marmopipe._cc import CONN_6_3D, label_components
 from marmopipe.evalsynth import reference_largest_component, reference_rough_localize
 from marmopipe.imgcore import Stack3D
 from marmopipe.injsite import (
@@ -69,7 +70,7 @@ class TestLargestComponent:
     def test_size_tie_break_and_selection(self):
         vol = np.zeros((4, 12, 4))
         vol[1, 1:6, 1] = 1.0   # size 5
-        vol[2, 7:11, 1:3]= 1.0 # hmm-free: 4*2=8... adjust below
+        vol[2, 7:11, 1:3]= 1.0 # 4x2 = 8 voxels
         vol[2, 7, 3] = 1.0     # size 9
         out = largest_component(stack_of(vol))
         assert out.data.sum() == 9.0
@@ -85,6 +86,64 @@ class TestLargestComponent:
             got = largest_component(stack_of(vol.astype(float))).data > 0
             want = reference_largest_component(vol)
             assert np.array_equal(got, want)
+
+    def test_true_size_tie_smaller_minimum_wins(self):
+        vol = np.zeros((6, 12, 4))
+        vol[0:5, 10, 3] = 1.0  # size 5, minimum linear index 43
+        vol[1, 0:5, 0] = 1.0   # size 5, minimum linear index 48
+        out = largest_component(stack_of(vol)).data > 0
+        assert np.array_equal(out, reference_largest_component(vol > 0))
+        assert out.sum() == 5 and out[0:5, 10, 3].all()
+
+
+def assert_labels_match_reference(mask):
+    """Peel components off with the reference largest-component flood fill;
+    each must be exactly one label, numbered by its minimum linear index."""
+    labels, count = label_components(mask, CONN_6_3D)
+    assert labels.dtype == np.int64 and labels.shape == mask.shape
+    assert np.array_equal(labels < 0, ~mask)
+    remaining = mask.copy()
+    minima = []
+    while remaining.any():
+        component = reference_largest_component(remaining)
+        k = labels[component][0]
+        assert np.array_equal(labels == k, component), f"component {k}"
+        minima.append((np.flatnonzero(component)[0], k))
+        remaining &= ~component
+    assert count == len(minima)
+    assert [k for _, k in sorted(minima)] == list(range(count))
+    return count
+
+
+class TestLabelComponents:
+    def test_random_vs_reference(self):
+        rng = np.random.default_rng(6)
+        for density in (0.15, 0.3, 0.5, 0.7):
+            for shape in ((8, 8, 8), (3, 9, 11)):
+                assert_labels_match_reference(rng.random(shape) < density)
+
+    def test_serpentine_spanning_grid(self):
+        mask = np.zeros((3, 21, 20), dtype=bool)
+        mask[1, ::2] = True
+        mask[1, 1::4, -1] = True
+        mask[1, 3::4, 0] = True
+        assert assert_labels_match_reference(mask) == 1
+
+    def test_diagonal_contacts_stay_apart(self):
+        mask = np.zeros((4, 4, 4), dtype=bool)
+        mask[np.arange(4), np.arange(4), np.arange(4)] = True
+        mask[2, 0, 1] = True   # edge-diagonal to (1, 1, 1) only
+        assert assert_labels_match_reference(mask) == 5
+
+    def test_empty_full_and_size_one_axes(self):
+        assert assert_labels_match_reference(np.zeros((3, 4, 5), dtype=bool)) == 0
+        assert assert_labels_match_reference(np.ones((3, 4, 5), dtype=bool)) == 1
+        line = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
+        assert assert_labels_match_reference(line.reshape(1, 1, 6)) == 3
+        assert assert_labels_match_reference(line.reshape(1, 6, 1)) == 3
+        assert assert_labels_match_reference(line.reshape(6, 1, 1)) == 3
+        rng = np.random.default_rng(7)
+        assert_labels_match_reference(rng.random((5, 1, 9)) < 0.5)
 
 
 class TestHessianFilter:

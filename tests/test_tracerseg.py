@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marmopipe._cc import CONN_8_2D, label_components
 from marmopipe.tracerseg import (
     SubtractedSignal,
     background_subtract,
@@ -97,6 +98,53 @@ class TestMorphReconstruct:
         out = morph_reconstruct(marker, mask)
         assert not (out & ~mask).any()
         assert (marker <= out).all()
+
+
+def assert_labels_match_oracle(mask):
+    """Label k is the oracle flood fill seeded at the k-th smallest component
+    minimum, which pins both membership and order."""
+    labels, count = label_components(mask, CONN_8_2D)
+    assert labels.dtype == np.int64 and labels.shape == mask.shape
+    assert np.array_equal(labels < 0, ~mask)
+    remaining = mask.copy()
+    k = 0
+    while remaining.any():
+        seed = np.zeros_like(mask)
+        seed.flat[np.flatnonzero(remaining)[0]] = True
+        component = oracles.reconstruct_oracle(seed, mask)
+        assert np.array_equal(labels == k, component), f"component {k}"
+        remaining &= ~component
+        k += 1
+    assert count == k
+    return count
+
+
+class TestLabelComponents:
+    def test_random_vs_oracle(self):
+        rng = np.random.default_rng(5)
+        for density in (0.1, 0.3, 0.45, 0.6, 0.8):
+            for shape in ((24, 24), (7, 31), (31, 7)):
+                assert_labels_match_oracle(rng.random(shape) < density)
+
+    def test_serpentine_spanning_grid(self):
+        mask = np.zeros((41, 40), dtype=bool)
+        mask[::2] = True
+        mask[1::4, -1] = True
+        mask[3::4, 0] = True
+        assert assert_labels_match_oracle(mask) == 1
+
+    def test_diagonal_contacts_join(self):
+        assert assert_labels_match_oracle(np.eye(6, dtype=bool)) == 1
+        checker = (np.add.outer(np.arange(6), np.arange(7)) % 2).astype(bool)
+        assert assert_labels_match_oracle(checker) == 1
+
+    def test_empty_full_and_size_one_axes(self):
+        assert assert_labels_match_oracle(np.zeros((5, 7), dtype=bool)) == 0
+        assert assert_labels_match_oracle(np.ones((5, 7), dtype=bool)) == 1
+        row = np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool)
+        assert assert_labels_match_oracle(row) == 3
+        assert assert_labels_match_oracle(row.T.copy()) == 3
+        assert assert_labels_match_oracle(np.ones((1, 1), dtype=bool)) == 1
 
 
 class TestMorphClose:
