@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .unet import UNetParams
+from .unet import UNetParams, param_shapes
 
 
 def _paths(prefix):
@@ -64,20 +64,32 @@ def load_model(prefix) -> UNetParams:
     if int(head.get("use_batchnorm", "0")):
         raise ValueError(f"{manifest}: batch normalization is not supported")
 
+    depth, base, in_channels = (int(head[k]) for k in ("depth", "base_features", "in_channels"))
+    want = param_shapes(depth, base, in_channels)
+    arch = f"depth={depth} base_features={base} in_channels={in_channels}"
+    for name, shape in entries:
+        if name not in want:
+            raise ValueError(f"{manifest}: parameter {name} is not part of {arch}")
+        if shape != want[name]:
+            raise ValueError(f"{manifest}: {name} has shape {shape}, {arch} needs {want[name]}")
+    missing = sorted(set(want) - {name for name, _ in entries})
+    if missing:
+        raise ValueError(f"{manifest}: {arch} needs parameter {missing[0]}, which is not listed")
+
     raw = blob.read_bytes()
+    expect = 4 * sum(int(np.prod(shape)) for _, shape in entries)
+    if expect != len(raw):
+        raise ValueError(f"{manifest}: model blob {blob} has {len(raw)} bytes, manifest expects {expect}")
     params = {}
     offset = 0
     for name, shape in entries:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape)
+        n = int(np.prod(shape))
+        params[name] = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape).astype(np.float64)
         offset += n * 4
-        params[name] = arr.astype(np.float64)
-    if offset != len(raw):
-        raise ValueError(f"model blob has {len(raw)} bytes, manifest expects {offset}")
     return UNetParams(
-        depth=int(head["depth"]),
-        base_features=int(head["base_features"]),
-        in_channels=int(head["in_channels"]),
+        depth=depth,
+        base_features=base,
+        in_channels=in_channels,
         params=params,
         input_scale=float(head["input_scale"]),
         seed=int(head["seed"]),

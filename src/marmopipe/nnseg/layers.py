@@ -3,6 +3,12 @@
 All activations are single-sample arrays shaped (channels, height, width) in
 float64.  Convolutions are unpadded ("valid"); gradients are exact, which is
 what the finite-difference checks in the test suite verify.
+
+Each 3x3 and 2x2 kernel, forward and backward, is one BLAS matrix product on
+channel-first columns.  A 3x3 layer stacks the 9 shifted views of its
+(C, H, W) input as (C, 3, 3, Ho, Wo), read as the (C*9, Ho*Wo) column matrix
+(im2col); ``dx`` scatter-adds the columns' gradient back through the same
+views (col2im).  A 2x2 stride-2 up-convolution is (F*4, C) @ (C, H*W).
 """
 
 from __future__ import annotations
@@ -10,33 +16,37 @@ from __future__ import annotations
 import numpy as np
 
 
-def _windows3(x: np.ndarray) -> np.ndarray:
-    # (C, H, W) -> (H-2, W-2, C*9) patch matrix
-    v = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(1, 2))
-    c, ho, wo = v.shape[0], v.shape[1], v.shape[2]
-    return v.transpose(1, 2, 0, 3, 4).reshape(ho, wo, c * 9)
+def _cols3(x: np.ndarray) -> np.ndarray:
+    """(C, H, W) -> (C, 3, 3, H-2, W-2): the 9 shifted views, channel first."""
+    c, h, w = x.shape
+    ho, wo = h - 2, w - 2
+    cols = np.empty((c, 3, 3, ho, wo), dtype=x.dtype)
+    for u in range(3):
+        for v in range(3):
+            cols[:, u, v] = x[:, u:u + ho, v:v + wo]
+    return cols
 
 
 def conv3x3_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid 3x3 convolution; weight (F, C, 3, 3), bias (F,)."""
-    cols = _windows3(x)
-    y = cols @ weight.reshape(weight.shape[0], -1).T
-    return y.transpose(2, 0, 1) + bias[:, None, None]
+    f, c = weight.shape[0], weight.shape[1]
+    ho, wo = x.shape[1] - 2, x.shape[2] - 2
+    y = weight.reshape(f, c * 9) @ _cols3(x).reshape(c * 9, ho * wo)
+    return y.reshape(f, ho, wo) + bias[:, None, None]
 
 
 def conv3x3_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray):
     """Gradients of a valid 3x3 convolution: returns (dx, dweight, dbias)."""
     f, c = weight.shape[0], weight.shape[1]
     ho, wo = dy.shape[1], dy.shape[2]
-    cols = _windows3(x).reshape(ho * wo, c * 9)
     dyf = dy.reshape(f, ho * wo)
-    dweight = (dyf @ cols).reshape(f, c, 3, 3)
+    dweight = (dyf @ _cols3(x).reshape(c * 9, ho * wo).T).reshape(f, c, 3, 3)
     dbias = dy.sum(axis=(1, 2))
-    # dx = full correlation of dy with the flipped kernels, channels swapped
-    dyp = np.pad(dy, ((0, 0), (2, 2), (2, 2)))
-    wt = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C, F, 3, 3)
-    cols_b = _windows3(dyp)
-    dx = (cols_b @ wt.reshape(c, -1).T).transpose(2, 0, 1)
+    dcols = (weight.reshape(f, c * 9).T @ dyf).reshape(c, 3, 3, ho, wo)
+    dx = np.zeros((c, ho + 2, wo + 2), dtype=dcols.dtype)
+    for u in range(3):
+        for v in range(3):
+            dx[:, u:u + ho, v:v + wo] += dcols[:, u, v]
     return dx, dweight, dbias
 
 
@@ -80,18 +90,21 @@ def maxpool2_backward(arg: np.ndarray, dy: np.ndarray, in_shape) -> np.ndarray:
 
 def upconv2_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """2x2 transposed convolution, stride 2; weight (C, F, 2, 2), bias (F,)."""
-    t = np.einsum("cfuv,chw->fhuwv", weight, x)
-    f, h, _, w, _ = t.shape
-    return t.reshape(f, 2 * h, 2 * w) + bias[:, None, None]
+    c, f = weight.shape[0], weight.shape[1]
+    h, w = x.shape[1], x.shape[2]
+    t = weight.reshape(c, f * 4).T @ x.reshape(c, h * w)  # (F*4, H*W)
+    y = t.reshape(f, 2, 2, h, w).transpose(0, 3, 1, 4, 2).reshape(f, 2 * h, 2 * w)
+    return y + bias[:, None, None]
 
 
 def upconv2_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray):
-    f = weight.shape[1]
+    c, f = weight.shape[0], weight.shape[1]
     h, w = x.shape[1], x.shape[2]
-    dyr = dy.reshape(f, h, 2, w, 2)
-    dweight = np.einsum("chw,fhuwv->cfuv", x, dyr)
+    # (F, 2H, 2W) -> (F, 2, 2, H, W) -> the (F*4, H*W) view the forward wrote
+    dyf = dy.reshape(f, h, 2, w, 2).transpose(0, 2, 4, 1, 3).reshape(f * 4, h * w)
+    dweight = (x.reshape(c, h * w) @ dyf.T).reshape(c, f, 2, 2)
     dbias = dy.sum(axis=(1, 2))
-    dx = np.einsum("cfuv,fhuwv->chw", weight, dyr)
+    dx = (weight.reshape(c, f * 4) @ dyf).reshape(c, h, w)
     return dx, dweight, dbias
 
 

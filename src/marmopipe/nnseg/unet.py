@@ -110,6 +110,26 @@ def _conv_specs(depth: int, base: int, in_channels: int):
     return specs
 
 
+_FAN = {"conv3": 9, "upconv": 4, "conv1": 1}
+
+
+def _weight_shape(kind: str, cin: int, cout: int) -> tuple:
+    if kind == "conv3":
+        return (cout, cin, 3, 3)
+    if kind == "upconv":
+        return (cin, cout, 2, 2)
+    return (cout, cin)
+
+
+def param_shapes(depth: int, base: int, in_channels: int) -> dict:
+    """Name -> shape of every parameter of the architecture."""
+    shapes = {}
+    for name, kind, cin, cout in _conv_specs(depth, base, in_channels):
+        shapes[f"{name}_w"] = _weight_shape(kind, cin, cout)
+        shapes[f"{name}_b"] = (cout,)
+    return shapes
+
+
 def init_unet(
     depth: int,
     base_features: int,
@@ -121,14 +141,8 @@ def init_unet(
     rng = np.random.default_rng(seed)
     params = {}
     for name, kind, cin, cout in _conv_specs(depth, base_features, in_channels):
-        if kind == "conv3":
-            fan_in = cin * 9
-            params[f"{name}_w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), (cout, cin, 3, 3))
-        elif kind == "upconv":
-            fan_in = cin * 4
-            params[f"{name}_w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), (cin, cout, 2, 2))
-        else:
-            params[f"{name}_w"] = rng.normal(0.0, np.sqrt(2.0 / cin), (cout, cin))
+        std = np.sqrt(2.0 / (cin * _FAN[kind]))
+        params[f"{name}_w"] = rng.normal(0.0, std, _weight_shape(kind, cin, cout))
         params[f"{name}_b"] = np.zeros(cout)
     return UNetParams(
         depth=depth,

@@ -14,6 +14,7 @@ from marmopipe.nnseg import (
     valid_input,
     weighted_logistic_loss,
 )
+from marmopipe.nnseg import layers as L
 
 
 class TestGeometry:
@@ -193,6 +194,74 @@ class TestBackward:
                 assert scale < 1e-9 or abs(fd - gf[i]) / scale < 1e-5, (name, i)
 
 
+def _fd_check(loss, arr, grad):
+    # the layers are linear in each argument, so a central difference of
+    # the scalar loss is exact up to rounding
+    h = 1e-3
+    flat = arr.reshape(-1)
+    fd = np.empty(flat.size)
+    for i in range(flat.size):
+        o = flat[i]
+        flat[i] = o + h; lp = loss()
+        flat[i] = o - h; lm = loss()
+        flat[i] = o
+        fd[i] = (lp - lm) / (2 * h)
+    assert grad.shape == arr.shape
+    assert np.allclose(fd, grad.reshape(-1), rtol=1e-7, atol=1e-8)
+
+
+class TestLayers:
+    def test_conv3x3_forward_explicit_sum(self):
+        rng = np.random.default_rng(30)
+        c, f, h, w = 3, 5, 9, 7
+        x = rng.normal(size=(c, h, w))
+        wt = rng.normal(size=(f, c, 3, 3))
+        b = rng.normal(size=f)
+        want = np.empty((f, h - 2, w - 2))
+        for k in range(f):
+            want[k] = b[k]
+            for ch in range(c):
+                for u in range(3):
+                    for v in range(3):
+                        want[k] += wt[k, ch, u, v] * x[ch, u:u + h - 2, v:v + w - 2]
+        assert np.allclose(L.conv3x3_forward(x, wt, b), want, rtol=1e-12, atol=1e-12)
+
+    def test_upconv2_forward_explicit_scatter(self):
+        rng = np.random.default_rng(31)
+        c, f, h, w = 4, 3, 5, 6
+        x = rng.normal(size=(c, h, w))
+        wt = rng.normal(size=(c, f, 2, 2))
+        b = rng.normal(size=f)
+        want = np.empty((f, 2 * h, 2 * w))
+        for i in range(h):
+            for j in range(w):
+                for u in range(2):
+                    for v in range(2):
+                        want[:, 2 * i + u, 2 * j + v] = b + wt[:, :, u, v].T @ x[:, i, j]
+        assert np.allclose(L.upconv2_forward(x, wt, b), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["conv3x3", "upconv2"])
+    def test_backward_finite_differences(self, kind):
+        rng = np.random.default_rng(32)
+        c, f = 3, 2
+        if kind == "conv3x3":
+            fwd, bwd = L.conv3x3_forward, L.conv3x3_backward
+            x, wt = rng.normal(size=(c, 7, 6)), rng.normal(size=(f, c, 3, 3))
+        else:
+            fwd, bwd = L.upconv2_forward, L.upconv2_backward
+            x, wt = rng.normal(size=(c, 4, 5)), rng.normal(size=(c, f, 2, 2))
+        b = rng.normal(size=f)
+        g = rng.normal(size=fwd(x, wt, b).shape)
+        dx, dweight, dbias = bwd(x, wt, g)
+
+        def loss():
+            return float((fwd(x, wt, b) * g).sum())
+
+        _fd_check(loss, x, dx)
+        _fd_check(loss, wt, dweight)
+        _fd_check(loss, b, dbias)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         net = init_unet(2, 8, 2, seed=9, input_scale=1 / 65535.0)
@@ -242,6 +311,33 @@ class TestSerialization:
         save_model(net, tmp_path / "m")
         self._older_manifest(net, tmp_path / "m", head, extra)
         with pytest.raises(ValueError, match="batch"):
+            load_model(tmp_path / "m")
+
+    @staticmethod
+    def _edit_manifest(path, old, new):
+        m = path.with_suffix(".manifest")
+        text = m.read_text()
+        assert old in text
+        m.write_text(text.replace(old, new))
+
+    def test_depth_mismatch_rejected(self, tmp_path):
+        save_model(init_unet(2, 4, 1, seed=21), tmp_path / "m")
+        self._edit_manifest(tmp_path / "m", "depth=2", "depth=3")
+        with pytest.raises(ValueError, match=r"m\.manifest.*depth=3.*dec1_conv1_b"):
+            load_model(tmp_path / "m")
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        # same element count, so only the shape check can catch it
+        save_model(init_unet(2, 4, 1, seed=22), tmp_path / "m")
+        self._edit_manifest(tmp_path / "m", "param:enc0_conv1_w=4 1 3 3", "param:enc0_conv1_w=1 4 3 3")
+        with pytest.raises(ValueError, match=r"m\.manifest.*enc0_conv1_w.*\(1, 4, 3, 3\)"):
+            load_model(tmp_path / "m")
+
+    def test_truncated_blob_rejected(self, tmp_path):
+        save_model(init_unet(2, 4, 1, seed=23), tmp_path / "m")
+        blob = tmp_path / "m.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        with pytest.raises(ValueError, match=r"m\.manifest.*bytes"):
             load_model(tmp_path / "m")
 
     def test_predictions_survive_round_trip(self, tmp_path):
