@@ -5,7 +5,6 @@ lines.  Criteria 10 and 11 share a pipeline run through module-scoped
 fixtures; everything else is self-contained.
 """
 
-import hashlib
 import shutil
 import time
 from pathlib import Path
@@ -43,6 +42,7 @@ from marmopipe.stitch import assemble_slice
 from marmopipe.tracerseg import threshold_pipeline
 
 import oracles
+from rundigest import run_dir_digest
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -395,16 +395,6 @@ def e2e_config(root: Path, out_name: str, threads: int) -> PipelineConfig:
     return PipelineConfig(values=values)
 
 
-def digest_run(run_dir: Path) -> str:
-    digest = hashlib.sha256()
-    for p in sorted(run_dir.iterdir()):
-        if p.name == "report.txt":  # timings legitimately differ
-            continue
-        digest.update(p.name.encode())
-        digest.update(p.read_bytes())
-    return digest.hexdigest()
-
-
 def test_c10_connectivity_conservation_and_truth(e2e_phantom):
     # conservation on random signal
     rng = np.random.default_rng(1100)
@@ -429,14 +419,14 @@ def test_c11_determinism(e2e_phantom):
     root, spec, truth = e2e_phantom
     if not (root / "run1").exists():
         run_pipeline(e2e_config(root, "run1", threads=1))
-    d1 = digest_run(root / "run1")
+    d1 = run_dir_digest(root / "run1")
 
     run_pipeline(e2e_config(root, "run2", threads=3))
-    d2 = digest_run(root / "run2")
+    d2 = run_dir_digest(root / "run2")
 
     shutil.rmtree(root / "run2")
     run_pipeline(e2e_config(root, "run2", threads=1))
-    d3 = digest_run(root / "run2")
+    d3 = run_dir_digest(root / "run2")
 
     report(11, d1 == d2 == d3,
            f"threads=1 vs threads=3 vs repeat digests equal: {d1 == d2 == d3} ({d1[:12]})")

@@ -1,4 +1,3 @@
-import hashlib
 import os
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from marmopipe.evalsynth import PhantomSpec, generate_phantom
 from marmopipe.imgcore import read_stack, write_tile
 from marmopipe.injsite import CellPointCloud
 from marmopipe.mapping import ConnectivityTable, identity_field, save_field
+from rundigest import run_dir_digest
 
 
 def small_spec(**kw):
@@ -113,16 +113,6 @@ class TestConfig:
     def test_empty_field_validation(self):
         assert any(e.startswith("field:") for e in validate_config({"field": ""}))
         assert not any(e.startswith("field:") for e in validate_config({"field": "identity"}))
-
-
-def run_dir_digest(run_dir: Path) -> str:
-    digest = hashlib.sha256()
-    for p in sorted(run_dir.iterdir()):
-        if p.name == "report.txt":  # timings differ between runs
-            continue
-        digest.update(p.name.encode())
-        digest.update(p.read_bytes())
-    return digest.hexdigest()
 
 
 class TestPipeline:
