@@ -8,6 +8,9 @@ ran and its key in ``stages.json`` (a sha256 of its config values, the size
 and mtime of the files they name, and the keys of the stages it needs) is
 unchanged, and appends a ``stage=... status=... seconds=... hash=...`` line.
 
+The stitch and tracer stages stream: they hold one section per thread, never a
+whole volume, and append each output slice to its stack as it is made.
+
 Configuration files are line-oriented ``key=value`` with ``#`` comments.
 Exit codes: 0 ok, 1 validation error, 2 runtime failure.
 """
@@ -204,13 +207,28 @@ def load_config(path) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pmap(fn, items, threads: int):
-    """Ordered parallel map; results do not depend on the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _imap(fn, items, threads: int):
+    """Lazy ordered map over ``items`` that keeps at most ``threads`` calls in flight.
+
+    Items are drawn from ``items`` only as calls are started, so a stage streaming
+    sections through it holds ``threads`` of them at a time, and results do not
+    depend on the thread count.
+    """
+    if threads <= 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        pending = collections.deque()
+        try:
+            for item in items:
+                if len(pending) == threads:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
+                yield pending.popleft().result()
+        finally:  # a call failed or the consumer stopped: start no more calls
+            for future in pending:
+                future.cancel()
 
 
 def _hash_files(paths) -> str:
@@ -313,65 +331,101 @@ def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_tiles(tile_dir) -> dict[str, list]:
-    paths = sorted(Path(tile_dir).glob("*.pgm"))
-    if not paths:
-        raise FileNotFoundError(f"no .pgm tiles under {tile_dir}")
-    tiles = {}
-    for p in paths:
-        tile = imgcore.read_tile(p)
-        tiles.setdefault(tile.channel, []).append(tile)
-    return tiles
+def _tile_index(tile_dir) -> dict[str, list[imgcore.TileInfo]]:
+    """Tile headers by channel, each list in sorted path order; no pixel is read."""
+    index = {}
+    for p in sorted(Path(tile_dir).glob("*.pgm")):
+        info = imgcore.read_tile_info(p)
+        index.setdefault(info.channel, []).append(info)
+    return index
+
+
+def _estimate_field(infos, lower: float, upper: float) -> flatfield.ShadingField:
+    """Stream a channel's tiles, in the given order, through the shading estimate."""
+    return flatfield.estimate_shading((imgcore.read_tile(i.path) for i in infos), lower, upper)
+
+
+@dataclass
+class _ChannelPlan:
+    """One channel's sections (tile headers by ascending z), their layouts, the high
+    stack's (nx, ny, nz) and voxel size, and the grid its low stack is binned onto."""
+
+    sections: list
+    layouts: list
+    dims: tuple
+    voxel_size: tuple
+    low: imgcore.BoxGrid
+
+
+def _plan_channel(infos, margin: int, low_voxel_um: float) -> _ChannelPlan:
+    """Lay out every section of one channel from its tile headers, and check that the
+    sections stack and bin: equal extents, uniform spacing, a target no finer."""
+    by_z = {}
+    for info in infos:
+        by_z.setdefault(info.world_offset[2], []).append(info)
+    zs = sorted(by_z)
+    layouts = [stitch.plan_layout(by_z[z], margin) for z in zs]
+    extents = [layout.extent for layout in layouts]
+    dz = stitch.section_spacing(zs, extents)
+    pitch = infos[0].pixel_pitch
+    dims, voxel = (*extents[0], len(zs)), (pitch, pitch, dz)
+    low = imgcore.BoxGrid(dims[::-1], voxel, low_voxel_um)
+    return _ChannelPlan([by_z[z] for z in zs], layouts, dims, voxel, low)
 
 
 def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
     """Flat-field correct and stitch tiles into ``out/high_*`` and ``out/low_*``; write
     the first channel's tile placement, one ``z= index= offset=`` line per tile, to
-    ``out/layout.txt``."""
-    tiles = _load_tiles(tile_dir)
+    ``out/layout.txt``.
+
+    Every section is planned from the tile headers first, so the checks on layout,
+    spacing and binning run before a slice is written.  With ``flatfield=estimate``,
+    pass 1 streams each channel's tiles through the shading estimate.  Pass 2 reads,
+    corrects and assembles one section at a time (``threads`` at once), appends it to
+    ``high_<ch>`` and bins each complete z-bin into ``low_<ch>``.
+    """
+    index = _tile_index(tile_dir)
+    if not index:
+        raise FileNotFoundError(f"no .pgm tiles under {tile_dir}")
     threads, margin = int(cfg.threads), int(cfg.margin)
+    plans = {ch: _plan_channel(infos, margin, float(cfg.low_voxel_um))
+             for ch, infos in sorted(index.items())}
+    first = plans[min(plans)]
+    (out / "layout.txt").write_text("".join(
+        f"z={infos[0].world_offset[2]} index={info.tile_index} offset={ox} {oy}\n"
+        for infos, layout in zip(first.sections, first.layouts)
+        for info, (ox, oy) in zip(infos, layout.offsets)))
 
     fields = {}
     mode = cfg.flatfield
     for ch in ("CR", "CG"):
-        if ch not in tiles or mode == "none":
+        if ch not in index or mode == "none":
             continue
         if mode == "estimate":
-            fields[ch] = flatfield.estimate_shading(
-                tiles[ch], float(cfg.ff_lower), float(cfg.ff_upper)
-            )
+            fields[ch] = _estimate_field(index[ch], float(cfg.ff_lower), float(cfg.ff_upper))
             imgcore.write_stack(flatfield.field_to_stack(fields[ch]), out / f"field_{ch}")
         else:
             fields[ch] = flatfield.field_from_stack(imgcore.read_stack(f"{mode}_{ch}"))
 
-    for ch, channel_tiles in sorted(tiles.items()):
-        if ch in fields:
-            channel_tiles = [flatfield.correct_tile(t, fields[ch]) for t in channel_tiles]
-        by_z = {}
-        for tile in channel_tiles:
-            by_z.setdefault(tile.world_offset[2], []).append(tile)
-        zs = sorted(by_z)
+    for ch, plan in plans.items():
+        field = fields.get(ch)
 
-        def mosaic(z):
-            layout = stitch.plan_layout([stitch.crop_margins(t, margin) for t in by_z[z]])
-            return layout, stitch.assemble_slice(by_z[z], layout=layout, margin=margin)
+        def mosaic(section):
+            infos, layout = section
+            tiles = [imgcore.read_tile(info.path) for info in infos]
+            if field is not None:
+                tiles = [flatfield.correct_tile(t, field) for t in tiles]
+            return stitch.assemble_slice(tiles, layout=layout, margin=margin)
 
-        layouts, mosaics = zip(*_pmap(mosaic, zs, threads))
-        if ch == min(tiles):
-            (out / "layout.txt").write_text("".join(
-                f"z={z} index={tile.tile_index} offset={ox} {oy}\n"
-                for z, layout in zip(zs, layouts)
-                for tile, (ox, oy) in zip(by_z[z], layout.offsets)))
-        stack = stitch.assemble_stack(
-            list(zip(zs, mosaics)),
-            pitch_um=channel_tiles[0].pixel_pitch,
-            channel=ch,
-            dtype="u16",
-        )
-        imgcore.write_stack(stack, out / f"high_{ch}")
-        low = imgcore.downsample_stack(stack, float(cfg.low_voxel_um))
-        low.dtype = "f32"
-        imgcore.write_stack(low, out / f"low_{ch}")
+        mosaics = _imap(mosaic, zip(plan.sections, plan.layouts), threads)
+        with imgcore.StackWriter(out / f"high_{ch}", plan.dims, plan.voxel_size, ch, "u16") as high, \
+                imgcore.StackWriter(out / f"low_{ch}", plan.low.shape[::-1], plan.low.voxel_size,
+                                    ch, "f32") as low:
+            for z0, z1 in plan.low.z_ranges:
+                slab = np.stack([next(mosaics) for _ in range(z0, z1)])
+                for plane in slab:
+                    high.write(plane)
+                low.write(plan.low.mean(slab))
 
 
 def _cells_in_roi(high_cb, mask, low_voxel_um, model, cutoff, sigmas, roi_pad):
@@ -423,33 +477,31 @@ def locate_injection(cfg: PipelineConfig, low_path, high_path, out: Path):
 
 
 def segment_tracer(cfg: PipelineConfig, cg_stack, cr_stack, out: Path) -> None:
-    """Write the tracer signal ``out/tracer_L`` and mask ``out/tracer_mask``."""
-    cg = imgcore.read_stack(cg_stack)
-    cr = imgcore.read_stack(cr_stack)
-    if cg.data.shape != cr.data.shape:
+    """Write the tracer signal ``out/tracer_L`` and mask ``out/tracer_mask``, reading the
+    C_G and C_R stacks and writing both outputs one slice at a time."""
+    cg = imgcore.StackReader(cg_stack)
+    cr = imgcore.StackReader(cr_stack)
+    if cg.shape != cr.shape:
         raise ValueError("C_G and C_R stacks are incongruent")
     model = nnseg.load_model(cfg.tracer_model) if cfg.tracer_backend == "unet" else None
 
-    def segment(z):
+    def segment(planes):
+        cg_z, cr_z = planes
         if model is None:
             return tracerseg.threshold_pipeline(
-                cg.data[z], cr.data[z],
+                cg_z, cr_z,
                 t=float(cfg.t), hi=float(cfg.hi), lo=float(cfg.lo),
                 close_radius=int(cfg.close),
             )
-        sal = nnseg.sliding_window_predict(model, np.stack([cr.data[z], cg.data[z]])).values
-        sub = tracerseg.background_subtract(cg.data[z], cr.data[z], t=float(cfg.t))
+        sal = nnseg.sliding_window_predict(model, np.stack([cr_z, cg_z])).values
+        sub = tracerseg.background_subtract(cg_z, cr_z, t=float(cfg.t))
         return tracerseg.compose_label(sal, sub, theta=float(cfg.theta))
 
-    labels = _pmap(segment, range(cg.data.shape[0]), int(cfg.threads))
-    signal = np.stack([lab.signal for lab in labels])
-    masks = np.stack([lab.mask for lab in labels]).astype(np.float64)
-    imgcore.write_stack(
-        imgcore.Stack3D(signal, cg.voxel_size, channel="CG", dtype="f32"), out / "tracer_L"
-    )
-    imgcore.write_stack(
-        imgcore.Stack3D(masks, cg.voxel_size, dtype="u16"), out / "tracer_mask"
-    )
+    with imgcore.StackWriter(out / "tracer_L", cg.dims, cg.voxel_size, "CG", "f32") as signal, \
+            imgcore.StackWriter(out / "tracer_mask", cg.dims, cg.voxel_size, "NONE", "u16") as mask:
+        for label in _imap(segment, zip(cg, cr), int(cfg.threads)):
+            signal.write(label.signal)
+            mask.write(label.mask)
 
 
 def map_stacks(cfg: PipelineConfig, jobs) -> None:
@@ -554,12 +606,11 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_flatfield(args) -> int:
-    tiles = [t for t in (imgcore.read_tile(p) for p in sorted(Path(args.tiles).glob("*.pgm")))
-             if t.channel == args.channel]
-    if not tiles:
+    infos = _tile_index(args.tiles).get(args.channel)
+    if not infos:
         raise ConfigError(f"no {args.channel} tiles under {args.tiles}")
-    field = flatfield.estimate_shading(tiles, args.lower, args.upper)
-    imgcore.write_stack(flatfield.field_to_stack(field, tiles[0].pixel_pitch), args.out)
+    field = _estimate_field(infos, args.lower, args.upper)
+    imgcore.write_stack(flatfield.field_to_stack(field, infos[0].pixel_pitch), args.out)
     print(f"field written to {args.out} (tiles={field.sample_count})")
     return 0
 

@@ -9,6 +9,10 @@ Conventions used throughout the package:
   ``(i + 0.5) * h`` micrometres.
 * All computation happens on float64 arrays; 16-bit quantization only occurs
   when writing ``u16`` payloads.
+* A stack moves between disk and memory one z-slice at a time through
+  ``StackWriter`` and ``StackReader``; ``write_stack`` and ``read_stack`` pass
+  whole stacks through them.  ``read_tile_info`` reads a tile's placement and
+  extent without its pixels.
 """
 
 from __future__ import annotations
@@ -172,19 +176,7 @@ def _parse_pgm_header(blob: bytes):
     return width, height, pos + 1
 
 
-def read_tile(path) -> Tile2D:
-    """Read a PGM tile and its sidecar metadata."""
-    pgm, meta = _tile_paths(path)
-    blob = pgm.read_bytes()
-    width, height, offset = _parse_pgm_header(blob)
-    payload = blob[offset:]
-    if len(payload) != width * height * 2:
-        raise FormatError(
-            f"payload is {len(payload)} bytes, expected {width * height * 2} "
-            f"for {width}x{height}"
-        )
-    pixels = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-
+def _read_sidecar(meta: Path):
     fields = {}
     for line in meta.read_text().splitlines():
         line = line.strip()
@@ -200,17 +192,57 @@ def read_tile(path) -> Tile2D:
         raise FormatError(f"malformed sidecar {meta}: {exc}") from exc
     if channel not in CHANNELS:
         raise FormatError(f"unknown channel tag {channel!r}")
-    return Tile2D(
-        pixels=pixels.astype(np.float64),
-        channel=channel,
-        world_offset=(ox, oy, oz),
-        tile_index=index,
-        pixel_pitch=pitch,
-    )
+    return dict(channel=channel, world_offset=(ox, oy, oz), tile_index=index, pixel_pitch=pitch)
+
+
+def read_tile(path) -> Tile2D:
+    """Read a PGM tile and its sidecar metadata."""
+    pgm, meta = _tile_paths(path)
+    blob = pgm.read_bytes()
+    width, height, offset = _parse_pgm_header(blob)
+    if len(blob) - offset != width * height * 2:
+        raise FormatError(
+            f"payload is {len(blob) - offset} bytes, expected {width * height * 2} "
+            f"for {width}x{height}"
+        )
+    pixels = np.frombuffer(blob, dtype=">u2", count=width * height, offset=offset)
+    return Tile2D(pixels=pixels.reshape(height, width).astype(np.float64), **_read_sidecar(meta))
+
+
+@dataclass(frozen=True)
+class TileInfo:
+    """A tile's sidecar metadata and PGM extent, read without its pixels."""
+
+    path: Path
+    channel: str
+    world_offset: tuple[float, float, float]
+    tile_index: int
+    pixel_pitch: float
+    width: int
+    height: int
+
+
+def read_tile_info(path) -> TileInfo:
+    """Read a tile's sidecar and PGM header; no pixel is read."""
+    pgm, meta = _tile_paths(path)
+    with open(pgm, "rb") as f:
+        head = f.read(256)
+        while True:  # comments may make a header longer than the first read
+            try:
+                width, height, _ = _parse_pgm_header(head)
+                break
+            except FormatError:
+                more = f.read(len(head))
+                if not more:
+                    raise
+                head += more
+    return TileInfo(path=pgm, width=width, height=height, **_read_sidecar(meta))
 
 
 # ---------------------------------------------------------------------------
-# stack I/O: text header (.hdr) + little-endian raw payload (.raw), x fastest
+# stack I/O: text header (.hdr) + little-endian raw payload (.raw), x fastest.
+# StackWriter and StackReader move one z-slice at a time; write_stack and
+# read_stack move a whole stack through them.
 # ---------------------------------------------------------------------------
 
 _STACK_DTYPES = {"u16": "<u2", "f32": "<f4"}
@@ -223,27 +255,19 @@ def _stack_paths(prefix) -> tuple[Path, Path]:
     return prefix.with_suffix(".hdr"), prefix.with_suffix(".raw")
 
 
-def write_stack(stack: Stack3D, prefix) -> Path:
-    """Write ``<prefix>.hdr`` and ``<prefix>.raw``; u16 payloads are quantized."""
-    hdr, raw = _stack_paths(prefix)
-    nx, ny, nz = stack.dims
-    vx, vy, vz = stack.voxel_size
+def _write_header(hdr: Path, dims, voxel_size, dtype: str, channel: str) -> None:
+    nx, ny, nz = dims
+    vx, vy, vz = voxel_size
     hdr.write_text(
         f"dims={nx} {ny} {nz}\n"
         f"voxel_um={vx!r} {vy!r} {vz!r}\n"
-        f"dtype={stack.dtype}\n"
-        f"channel={stack.channel}\n"
+        f"dtype={dtype}\n"
+        f"channel={channel}\n"
     )
-    if stack.dtype == "u16":
-        payload = np.clip(np.rint(stack.data), 0, U16_MAX).astype("<u2")
-    else:
-        payload = stack.data.astype("<f4")
-    raw.write_bytes(payload.tobytes())
-    return hdr
 
 
-def read_stack(prefix) -> Stack3D:
-    hdr, raw = _stack_paths(prefix)
+def _read_header(hdr: Path):
+    """``(dims, voxel_size, dtype, channel)`` of a stack header."""
     fields = {}
     for line in hdr.read_text().splitlines():
         line = line.strip()
@@ -261,17 +285,108 @@ def read_stack(prefix) -> Stack3D:
         raise FormatError(f"unsupported dtype {dtype!r}")
     if len(voxel) != 3:
         raise FormatError("voxel_um needs three values")
-    blob = raw.read_bytes()
-    expected = nx * ny * nz * np.dtype(_STACK_DTYPES[dtype]).itemsize
-    if len(blob) != expected:
-        raise FormatError(f"payload is {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype=_STACK_DTYPES[dtype]).reshape(nz, ny, nx)
-    return Stack3D(
-        data=data.astype(np.float64),
-        voxel_size=voxel,
-        channel=channel,
-        dtype=dtype,
-    )
+    return (nx, ny, nz), voxel, dtype, channel
+
+
+class StackWriter:
+    """Write a stack one z-slice at a time, quantizing u16 slices as ``write_stack`` does.
+
+    ``<prefix>.raw`` grows by one slice per ``write``.  ``<prefix>.hdr`` is removed on
+    opening and written by ``close`` only once all ``nz`` slices are in, so a stack
+    whose writing failed or was killed has no header and cannot be read.
+    """
+
+    def __init__(self, prefix, dims, voxel_size, channel: str = "NONE", dtype: str = "f32"):
+        self.dims = tuple(int(n) for n in dims)
+        self.voxel_size = tuple(float(v) for v in voxel_size)
+        if any(v <= 0 for v in self.voxel_size):
+            raise ValueError("voxel sizes must be > 0")
+        if channel not in CHANNELS + ("NONE",):
+            raise ValueError(f"unknown channel tag {channel!r}")
+        if dtype not in _STACK_DTYPES:
+            raise ValueError(f"unsupported dtype {dtype!r}")
+        self.channel, self.dtype = channel, dtype
+        self.hdr, self.raw = _stack_paths(prefix)
+        self.hdr.unlink(missing_ok=True)
+        self._file = open(self.raw, "wb")
+        self.written = 0
+
+    def write(self, plane) -> None:
+        plane = np.asarray(plane, dtype=np.float64)
+        nx, ny, nz = self.dims
+        if plane.shape != (ny, nx):
+            raise ValueError(f"slice shape {plane.shape} != ({ny}, {nx})")
+        if self.written == nz:
+            raise ValueError(f"{self.raw}: all {nz} slices already written")
+        if self.dtype == "u16":
+            payload = np.clip(np.rint(plane), 0, U16_MAX).astype("<u2")
+        else:
+            payload = plane.astype("<f4")
+        self._file.write(payload.data)
+        self.written += 1
+
+    def close(self) -> None:
+        """Close the payload and write the header, once every slice is in."""
+        self._file.close()
+        if self.written != self.dims[2]:
+            raise ValueError(f"{self.raw}: {self.written} of {self.dims[2]} slices written")
+        _write_header(self.hdr, self.dims, self.voxel_size, self.dtype, self.channel)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._file.close()
+
+
+class StackReader:
+    """Read a stack one z-slice at a time; iterating yields float64 (ny, nx) slices."""
+
+    def __init__(self, prefix):
+        self.hdr, self.raw = _stack_paths(prefix)
+        self.dims, self.voxel_size, self.dtype, self.channel = _read_header(self.hdr)
+        nx, ny, nz = self.dims
+        self._slice_bytes = nx * ny * np.dtype(_STACK_DTYPES[self.dtype]).itemsize
+        size = self.raw.stat().st_size
+        if size != nz * self._slice_bytes:
+            raise FormatError(f"payload is {size} bytes, expected {nz * self._slice_bytes}")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(nz, ny, nx), the shape of the stack's data array."""
+        nx, ny, nz = self.dims
+        return (nz, ny, nx)
+
+    def _payload_slices(self):
+        nx, ny, nz = self.dims
+        with open(self.raw, "rb") as f:
+            for _ in range(nz):
+                blob = f.read(self._slice_bytes)
+                yield np.frombuffer(blob, dtype=_STACK_DTYPES[self.dtype]).reshape(ny, nx)
+
+    def __iter__(self):
+        for plane in self._payload_slices():
+            yield plane.astype(np.float64)
+
+
+def write_stack(stack: Stack3D, prefix) -> Path:
+    """Write ``<prefix>.hdr`` and ``<prefix>.raw``; u16 payloads are quantized."""
+    with StackWriter(prefix, stack.dims, stack.voxel_size, stack.channel, stack.dtype) as out:
+        for plane in stack.data:
+            out.write(plane)
+    return out.hdr
+
+
+def read_stack(prefix) -> Stack3D:
+    reader = StackReader(prefix)
+    data = np.empty(reader.shape, dtype=np.float64)
+    for z, plane in enumerate(reader._payload_slices()):
+        data[z] = plane
+    return Stack3D(data=data, voxel_size=reader.voxel_size, channel=reader.channel,
+                   dtype=reader.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +400,52 @@ def _axis_bins(n: int, h_src: float, h_tgt: float) -> np.ndarray:
     return np.floor(centers / h_tgt).astype(np.int64)
 
 
-def downsample_stack(stack: Stack3D, target_voxel) -> Stack3D:
-    """Box-average a stack onto a coarser grid.
+class BoxGrid:
+    """The coarser grid of a box average, and the source voxels each output voxel takes.
 
-    Each output voxel is the mean of the source voxels whose centres fall
-    inside it.  ``target_voxel`` is a scalar (isotropic) or an (x, y, z)
-    tuple in µm and must be >= the source spacing on every axis.
+    Each output voxel is the mean of the source voxels whose centres fall inside it.
+    ``target_voxel`` is a scalar (isotropic) or an (x, y, z) tuple in µm and must be
+    >= the source spacing on every axis.  ``z_ranges[k]`` is the ``(z0, z1)`` range of
+    source slices that output slice ``k`` averages, so a stack can be binned one
+    output slice at a time from the source slices it covers.
     """
-    if np.isscalar(target_voxel):
-        target = (float(target_voxel),) * 3
-    else:
-        target = tuple(float(v) for v in target_voxel)
-    for t, s in zip(target, stack.voxel_size):
-        if t < s - 1e-9:
-            raise ValueError(f"target voxel {t} µm finer than source {s} µm")
 
-    nz, ny, nx = stack.data.shape
-    bx = _axis_bins(nx, stack.voxel_size[0], target[0])
-    by = _axis_bins(ny, stack.voxel_size[1], target[1])
-    bz = _axis_bins(nz, stack.voxel_size[2], target[2])
-    ox, oy, oz = bx[-1] + 1, by[-1] + 1, bz[-1] + 1
+    def __init__(self, shape, voxel_size, target_voxel):
+        if np.isscalar(target_voxel):
+            target = (float(target_voxel),) * 3
+        else:
+            target = tuple(float(v) for v in target_voxel)
+        for t, s in zip(target, voxel_size):
+            if t < s - 1e-9:
+                raise ValueError(f"target voxel {t} µm finer than source {s} µm")
+        self.voxel_size = target
+        nz, ny, nx = shape
+        bz = _axis_bins(nz, voxel_size[2], target[2])
+        self._by = _axis_bins(ny, voxel_size[1], target[1])
+        self._bx = _axis_bins(nx, voxel_size[0], target[0])
+        self.shape = (int(bz[-1]) + 1, int(self._by[-1]) + 1, int(self._bx[-1]) + 1)
+        bounds = np.searchsorted(bz, np.arange(self.shape[0] + 1))
+        self.z_ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    flat = (bz[:, None, None] * oy + by[None, :, None]) * ox + bx[None, None, :]
-    flat = flat.ravel()
-    sums = np.bincount(flat, weights=stack.data.ravel(), minlength=oz * oy * ox)
-    counts = np.bincount(flat, minlength=oz * oy * ox)
-    out = (sums / counts).reshape(oz, oy, ox)
+    def mean(self, slab: np.ndarray) -> np.ndarray:
+        """The (oy, ox) output slice of the source slices ``slab`` of one z-range.
+
+        ``bincount`` adds each bin's voxels in z, y, x order, as one ``bincount`` over
+        the whole stack would, so binning slice by slice gives the same bits.
+        """
+        _, oy, ox = self.shape
+        flat = np.tile((self._by[:, None] * ox + self._bx[None, :]).ravel(), len(slab))
+        sums = np.bincount(flat, weights=slab.ravel(), minlength=oy * ox)
+        counts = np.bincount(flat, minlength=oy * ox)
+        return (sums / counts).reshape(oy, ox)
+
+
+def downsample_stack(stack: Stack3D, target_voxel) -> Stack3D:
+    """Box-average a stack onto a coarser grid (see ``BoxGrid``)."""
+    grid = BoxGrid(stack.data.shape, stack.voxel_size, target_voxel)
+    out = np.stack([grid.mean(stack.data[z0:z1]) for z0, z1 in grid.z_ranges])
     # box means are fractional even for u16 input; store as float
-    return Stack3D(data=out, voxel_size=target, channel=stack.channel, dtype="f32")
+    return Stack3D(data=out, voxel_size=grid.voxel_size, channel=stack.channel, dtype="f32")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ converted to integer pixels with round-half-away-from-zero so layouts are
 reproducible across platforms.  Overlap bands are fused with a separable
 linear ramp per tile, renormalized per pixel, which preserves constants even
 where four tiles meet.
+
+A section's layout needs only the tiles' headers, so a whole stack can be planned
+and checked (``plan_layout``, ``section_spacing``) before its sections are
+assembled one at a time.
 """
 
 from __future__ import annotations
@@ -40,26 +44,36 @@ class MosaicLayout:
     nominal_overlap: int | None = None
 
 
-def plan_layout(tiles: list[Tile2D]) -> MosaicLayout:
-    """Derive integer pixel offsets for one section from world coordinates."""
+def plan_layout(tiles, margin: int = 0) -> MosaicLayout:
+    """Derive integer pixel offsets for one section from world coordinates.
+
+    The layout places the tiles as ``crop_margins(tile, margin)`` leaves them.  Tiles
+    need only ``world_offset``, ``pixel_pitch``, ``width`` and ``height``, so a
+    ``TileInfo`` serves as well as a ``Tile2D``: a section is planned from its tile
+    headers before any pixel is read.
+    """
     if not tiles:
         raise ValueError("no tiles to lay out")
     pitch = tiles[0].pixel_pitch
     z = tiles[0].world_offset[2]
-    shape = tiles[0].pixels.shape
+    shape = (tiles[0].height, tiles[0].width)
     for t in tiles:
         if abs(t.pixel_pitch - pitch) > 1e-9:
             raise ValueError("inconsistent pixel pitch within section")
         if abs(t.world_offset[2] - z) > 1e-6:
             raise ValueError("tiles of one section must share the z coordinate")
-        if t.pixels.shape != shape:
+        if (t.height, t.width) != shape:
             raise ValueError("tiles of one section must share the extent")
+    _check_margin(margin, shape[1], shape[0])
 
-    xs = _round_half_away(np.array([t.world_offset[0] / pitch for t in tiles]))
-    ys = _round_half_away(np.array([t.world_offset[1] / pitch for t in tiles]))
+    # crop_margins moves a tile's origin by margin * its own pitch
+    xs = _round_half_away(np.array([(t.world_offset[0] + margin * t.pixel_pitch) / pitch
+                                    for t in tiles]))
+    ys = _round_half_away(np.array([(t.world_offset[1] + margin * t.pixel_pitch) / pitch
+                                    for t in tiles]))
     xs -= xs.min()
     ys -= ys.min()
-    th, tw = shape
+    th, tw = shape[0] - 2 * margin, shape[1] - 2 * margin
     extent = (int(xs.max()) + tw, int(ys.max()) + th)
     offsets = [(int(x), int(y)) for x, y in zip(xs, ys)]
 
@@ -82,14 +96,18 @@ def plan_layout(tiles: list[Tile2D]) -> MosaicLayout:
     return MosaicLayout(offsets=offsets, extent=extent, tile_extent=(tw, th), nominal_overlap=nominal)
 
 
-def crop_margins(tile: Tile2D, margin: int) -> Tile2D:
-    """Centered crop removing ``margin`` pixels from every tile boundary."""
+def _check_margin(margin: int, width: int, height: int) -> None:
     if margin < 0:
         raise ValueError("margin must be >= 0")
+    if margin and 2 * margin >= min(width, height):
+        raise ValueError(f"margin {margin} too large for {width}x{height} tile")
+
+
+def crop_margins(tile: Tile2D, margin: int) -> Tile2D:
+    """Centered crop removing ``margin`` pixels from every tile boundary."""
+    _check_margin(margin, tile.width, tile.height)
     if margin == 0:
         return tile
-    if 2 * margin >= min(tile.width, tile.height):
-        raise ValueError(f"margin {margin} too large for {tile.width}x{tile.height} tile")
     x, y, z = tile.world_offset
     shift = margin * tile.pixel_pitch
     return Tile2D(
@@ -150,26 +168,32 @@ def assemble_slice(tiles: list[Tile2D], layout: MosaicLayout | None = None, marg
     return out
 
 
-def assemble_stack(sections, pitch_um: float = 1.34, channel: str = "NONE", dtype: str = "u16") -> Stack3D:
-    """Stack assembled sections, ordered by ascending z.
+def section_spacing(zs, extents) -> float:
+    """The z step of sections at ascending ``zs`` (µm) whose mosaics have ``extents``.
 
-    ``sections`` is a sequence of ``(z_um, image2d)`` pairs; spacing must be
-    uniform (single sections default to 50 µm).
+    Extents must be equal and spacing uniform (ValueError otherwise); a single section
+    is taken to be 50 µm thick.
     """
-    if not sections:
-        raise ValueError("no sections")
-    ordered = sorted(sections, key=lambda s: s[0])
-    shape = np.asarray(ordered[0][1]).shape
-    for z, img in ordered:
-        if np.asarray(img).shape != shape:
-            raise ValueError("sections must share the same extent")
-    zs = np.array([z for z, _ in ordered], dtype=np.float64)
+    if any(e != extents[0] for e in extents):
+        raise ValueError("sections must share the same extent")
+    zs = np.array(zs, dtype=np.float64)
     if len(zs) > 1:
         steps = np.diff(zs)
         if np.ptp(steps) > 1e-6:
             raise ValueError(f"non-uniform section spacing: {sorted(set(steps))}")
-        dz = float(steps[0])
-    else:
-        dz = 50.0
+        return float(steps[0])
+    return 50.0
+
+
+def assemble_stack(sections, pitch_um: float = 1.34, channel: str = "NONE", dtype: str = "u16") -> Stack3D:
+    """Stack assembled sections, ordered by ascending z (see ``section_spacing``).
+
+    ``sections`` is a sequence of ``(z_um, image2d)`` pairs.  The stitch stage does
+    not hold a whole stack: it writes each section as it is assembled.
+    """
+    if not sections:
+        raise ValueError("no sections")
+    ordered = sorted(sections, key=lambda s: s[0])
+    dz = section_spacing([z for z, _ in ordered], [np.asarray(img).shape for _, img in ordered])
     data = np.stack([np.asarray(img, dtype=np.float64) for _, img in ordered])
     return Stack3D(data=data, voxel_size=(pitch_um, pitch_um, dz), channel=channel, dtype=dtype)

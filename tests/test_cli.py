@@ -476,3 +476,135 @@ class TestSubcommands:
         sal_mask = read_stack(tmp_path / "run" / "tracer_mask")
         assert set(np.unique(sal_mask.data)) <= {0.0, 1.0}
         assert (tmp_path / "run" / "cells.txt").exists()
+
+
+def test_imap_is_ordered_lazy_and_bounded():
+    """Results come in item order; with 3 threads at most 3 calls run at once, and an
+    item is drawn only when a call can start."""
+    import threading
+    import time
+    lock, running, seen = threading.Lock(), [0], {"max_running": 0, "drawn": 0}
+
+    def items():
+        for i in range(12):
+            seen["drawn"] += 1
+            yield i
+
+    def work(i):
+        with lock:
+            running[0] += 1
+            seen["max_running"] = max(seen["max_running"], running[0])
+        time.sleep(0.01 * (i % 3))
+        with lock:
+            running[0] -= 1
+        return i * i
+
+    results = cli._imap(work, items(), 3)
+    for consumed, value in enumerate(results, 1):
+        assert value == (consumed - 1) ** 2
+        assert seen["drawn"] - consumed <= 3
+    assert consumed == 12 and seen["max_running"] <= 3
+    assert list(cli._imap(work, range(5), 1)) == [0, 1, 4, 9, 16]
+
+
+class TestStreamedStages:
+    """The stitch and tracer stages hold one section at a time, never a whole volume."""
+
+    @staticmethod
+    def stage_peaks(root: Path, n_sections: int) -> dict:
+        """tracemalloc peak (bytes) of the stitch and tracer stages, run on the small
+        phantom with ``n_sections`` sections."""
+        import tracemalloc
+        write_phantom(root, small_spec(n_sections=n_sections, n_cells=4, n_axons=1, inj_z1=1))
+        cfg = pipeline_config(root, root / "truth", flatfield="estimate")
+        report, peaks = cli.RunReport(), {}
+        tracemalloc.start()
+        try:
+            for stage in cli.STAGE_TABLE:
+                if stage.name in ("stitch", "tracer"):
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    cli._run_stage(stage, cfg, report)
+                    peaks[stage.name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peaks
+
+    def test_stitch_and_tracer_memory_does_not_grow_with_depth(self, tmp_path):
+        """Four times the sections, the same peak within 1 MiB.  A section mosaic here is
+        about 0.6 MiB as float64, so holding one channel's volume would add 3.6 MiB.
+        The locate, map and connectivity stages still read whole volumes and are not
+        checked."""
+        shallow = self.stage_peaks(tmp_path / "shallow", 2)
+        deep = self.stage_peaks(tmp_path / "deep", 8)
+        for name in ("stitch", "tracer"):
+            assert deep[name] - shallow[name] < 1 << 20, (name, shallow[name], deep[name])
+
+    def test_low_stack_bins_straddle_sections(self, tmp_path):
+        """At a 20 µm section step the 50 µm z-bins take 2 and 3 sections; the streamed
+        low stacks equal ``downsample_stack`` of the whole float64 stacks, bit for bit."""
+        from marmopipe.imgcore import CHANNELS, downsample_stack, read_tile
+        from marmopipe.stitch import assemble_slice, assemble_stack
+        write_phantom(tmp_path, small_spec(z_step_um=20.0, n_sections=5, n_cells=4, n_axons=1))
+        run = tmp_path / "run"
+        run.mkdir()
+        cli.stitch_tiles(pipeline_config(tmp_path, tmp_path / "truth"), tmp_path / "tiles", run)
+        for ch in CHANNELS:
+            by_z = {}
+            for p in sorted((tmp_path / "tiles").glob(f"*_{ch}.pgm")):
+                tile = read_tile(p)
+                by_z.setdefault(tile.world_offset[2], []).append(tile)
+            whole = assemble_stack([(z, assemble_slice(by_z[z], margin=20)) for z in sorted(by_z)],
+                                   pitch_um=tile.pixel_pitch, channel=ch)
+            want = downsample_stack(whole, 50.0)
+            assert want.data.shape[0] == 2
+            assert (run / f"low_{ch}.raw").read_bytes() == want.data.astype("<f4").tobytes()
+            got = read_stack(run / f"low_{ch}")
+            assert (got.voxel_size, got.channel, got.dtype) == (want.voxel_size, ch, "f32")
+
+    @pytest.mark.parametrize("case, match", [
+        ("finer", "finer than source"),
+        ("spacing", "non-uniform section spacing"),
+        ("extent", "same extent"),
+    ])
+    def test_checks_run_before_any_slice_is_written(self, tmp_path, case, match):
+        from marmopipe.imgcore import Tile2D, read_tile
+        tile_dir, _ = write_phantom(tmp_path, small_spec(n_sections=5, n_cells=4, n_axons=1))
+        if case == "spacing":  # sections at 0, 50, 100 and 200 µm
+            for p in tile_dir.glob("z0003_*"):
+                p.unlink()
+        if case == "extent":  # section 1 is 10 px narrower
+            for p in tile_dir.glob("z0001_*.pgm"):
+                t = read_tile(p)
+                write_tile(Tile2D(t.pixels[:, :-10], t.channel, t.world_offset,
+                                  t.tile_index, t.pixel_pitch), p)
+        cfg = pipeline_config(tmp_path, tmp_path / "truth",
+                              low_voxel_um=1.0 if case == "finer" else 50)
+        run = tmp_path / "run"
+        run.mkdir()
+        with pytest.raises(ValueError, match=match):
+            cli.stitch_tiles(cfg, tile_dir, run)
+        assert list(run.iterdir()) == []
+
+    def test_killed_stitch_reruns_to_clean_bytes(self, tmp_path, monkeypatch):
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        cfg = pipeline_config(tmp_path, tmp_path / "truth")
+        assemble, calls = cli.stitch.assemble_slice, []
+
+        def killed(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("killed while stitching")
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(cli.stitch, "assemble_slice", killed)
+        with pytest.raises(RuntimeError, match="stage stitch failed"):
+            run_pipeline(cfg)
+        monkeypatch.undo()
+        run = tmp_path / "run"
+        assert (run / "high_CB.raw").stat().st_size > 0  # two sections were written ...
+        assert not (run / "high_CB.hdr").exists()  # ... and the stack has no header
+
+        assert stage_status(run_pipeline(cfg))["stitch"] == "ok"
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", out=tmp_path / "clean"))
+        assert run_dir_digest(run) == run_dir_digest(tmp_path / "clean")
