@@ -176,7 +176,7 @@ def _parse_pgm_header(blob: bytes):
     return width, height, pos + 1
 
 
-def _read_sidecar(meta: Path):
+def _read_sidecar(meta: Path) -> dict:
     fields = {}
     for line in meta.read_text().splitlines():
         line = line.strip()
@@ -240,9 +240,7 @@ def read_tile_info(path) -> TileInfo:
 
 
 # ---------------------------------------------------------------------------
-# stack I/O: text header (.hdr) + little-endian raw payload (.raw), x fastest.
-# StackWriter and StackReader move one z-slice at a time; write_stack and
-# read_stack move a whole stack through them.
+# stack I/O: text header (.hdr) + little-endian raw payload (.raw), x fastest
 # ---------------------------------------------------------------------------
 
 _STACK_DTYPES = {"u16": "<u2", "f32": "<f4"}

@@ -5,6 +5,8 @@ from marmopipe.evalsynth import reference_block_mean, reference_gaussian_blur
 from marmopipe.imgcore import (
     FormatError,
     Stack3D,
+    StackReader,
+    StackWriter,
     Tile2D,
     downsample_stack,
     gaussian_blur,
@@ -12,6 +14,7 @@ from marmopipe.imgcore import (
     mirror_indices,
     read_stack,
     read_tile,
+    read_tile_info,
     write_stack,
     write_tile,
 )
@@ -74,6 +77,15 @@ class TestTileIO:
         with pytest.raises(FormatError):
             read_tile(pgm)
 
+    def test_tile_info_reads_header_and_sidecar(self, tmp_path):
+        tile = make_tile(np.ones((6, 9)), channel="CR", world_offset=(1.5, 2.5, 50.0),
+                         tile_index=7, pixel_pitch=1.34)
+        pgm = write_tile(tile, tmp_path / "t.pgm")
+        info = read_tile_info(pgm)
+        assert (info.path, info.width, info.height) == (pgm, 9, 6)
+        assert (info.channel, info.world_offset, info.tile_index, info.pixel_pitch) == (
+            "CR", (1.5, 2.5, 50.0), 7, 1.34)
+
     def test_unknown_channel(self, tmp_path):
         tile = make_tile(np.zeros((4, 4)))
         write_tile(tile, tmp_path / "t")
@@ -113,6 +125,23 @@ class TestStackIO:
             back = read_stack(tmp_path / f"s{k}")
             assert np.array_equal(back.data, stack.data)
             assert back.voxel_size == stack.voxel_size
+
+    def test_slice_writer_and_reader(self, tmp_path):
+        """Slices written one by one read back as written; a stack left short of its
+        ``nz`` slices gets no header, so it cannot be read as if complete."""
+        data = np.random.default_rng(2).integers(0, 65536, size=(3, 5, 4)).astype(np.float64)
+        with StackWriter(tmp_path / "s", (4, 5, 3), (1.0, 1.0, 2.0), "CB", "u16") as out:
+            for plane in data:
+                out.write(plane)
+        reader = StackReader(tmp_path / "s")
+        assert (reader.shape, reader.voxel_size, reader.channel) == ((3, 5, 4), (1.0, 1.0, 2.0), "CB")
+        assert np.array_equal(np.stack(list(reader)), data)
+
+        short = StackWriter(tmp_path / "s", (4, 5, 3), (1.0, 1.0, 2.0), "CB", "u16")
+        short.write(data[0])
+        with pytest.raises(ValueError, match="1 of 3 slices"):
+            short.close()
+        assert not (tmp_path / "s.hdr").exists()
 
     def test_truncated_payload(self, tmp_path):
         stack = Stack3D(np.zeros((4, 4, 4)), (1, 1, 1), dtype="u16")
