@@ -74,8 +74,8 @@ class TestConfig:
         path.write_text(f"# comment\ntiles={tiles}\nout={tmp_path}/run\nhi=400\n")
         cfg = load_config(path)
         assert cfg.tiles == str(tiles)
-        assert cfg.hi == "400"
-        assert cfg.lo == "100"  # default
+        assert cfg.hi == 400.0
+        assert cfg.lo == 100.0  # default
 
     def test_bad_threshold_order(self):
         errors = validate_config({"hi": "50", "lo": "100"})
@@ -194,14 +194,17 @@ class TestPipeline:
         pytest.param(dict(hi=5000, lo=4000), {"tracer", "map", "connectivity"}, id="hi_lo"),
         pytest.param(dict(hessian_cutoff=100), {"locate", "map", "connectivity"}, id="cutoff"),
         pytest.param(dict(normalize=1), {"connectivity"}, id="normalize"),
-        pytest.param("atlas_high.raw", {"connectivity"}, id="atlas_mtime"),
+        pytest.param("truth/atlas_high.raw", {"connectivity"}, id="atlas_mtime"),
+        pytest.param("tiles/*.meta", {"stitch", "locate", "tracer", "map", "connectivity"},
+                     id="sidecar_mtime"),
         pytest.param(dict(threads=3), set(), id="threads"),
+        pytest.param(dict(t="1.10", hessian_sigmas="2, 3,4,5"), set(), id="spelling"),
     ])
     def test_rerun_follows_parameters_and_inputs(self, tmp_path, change, rerun):
         write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
         run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
-        if isinstance(change, str):  # a new mtime on one atlas file
-            path = tmp_path / "truth" / change
+        if isinstance(change, str):  # a new mtime on one input file
+            path = sorted(tmp_path.glob(change))[0]
             st = path.stat()
             os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
             change = {}
@@ -305,6 +308,22 @@ class TestMainEntry:
         field = read_stack(tmp_path / "field_CG")
         assert field.data.shape == (1, 32, 32)
 
+    def test_atlas_off_the_mask_grid_is_validation_error(self, tmp_path, capsys):
+        """With sources=mask and no atlas_low, the full-resolution atlas is not on the
+        50 µm grid of the injection mask: exit 1 before any stage.  Through a saved
+        field on the atlas grid the same atlas-only config is valid."""
+        _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        raw = dict(tiles=str(tmp_path / "tiles"), out=str(tmp_path / "run"),
+                   atlas=str(tmp_path / "truth" / "atlas_high"))
+        cfg = tmp_path / "cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in raw.items()))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert "atlas:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        shape, voxel = truth.atlas_high.labels.shape, truth.atlas_high.voxel_size
+        save_field(identity_field(shape, voxel), tmp_path / "field")
+        assert validate_config(dict(raw, field=str(tmp_path / "field"))) == []
+
     def test_validation_happens_before_stages(self, tmp_path):
         # unet backend without a model file must fail before stitching
         tiles = tmp_path / "tiles"
@@ -373,6 +392,25 @@ class TestSubcommands:
         assert rc == 0
         mask = read_stack(out / "tracer_mask")
         assert np.array_equal(mask.data > 0, truth.tracer_mask)
+
+    @pytest.mark.parametrize("argv, change, output", [
+        (["inject-locate", "--cb-low", "{run}/low_CB", "--cb-high", "{run}/high_CB",
+          "--hessian-cutoff", "100"], dict(hessian_cutoff=100), "cells.txt"),
+        (["tracer-seg", "--cg", "{run}/high_CG", "--cr", "{run}/high_CR",
+          "--tracer-backend", "threshold", "--hi", "5000", "--lo", "4000"],
+         dict(hi=5000, lo=4000), "tracer_mask.raw"),
+    ], ids=["inject_locate", "tracer_seg"])
+    def test_stage_flags_set_config_keys(self, tmp_path, argv, change, output):
+        """A stage flag sets its config key: the subcommand writes what the pipeline
+        writes with that key, and not what it writes with the default."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", **change))
+        run = tmp_path / "run"
+        argv = [a.format(run=run) for a in argv]
+        for flags, out in ((argv, "flags"), (argv[:5], "defaults")):
+            assert cli.main(flags + ["--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "flags" / output).read_bytes() == (run / output).read_bytes()
+        assert (tmp_path / "defaults" / output).read_bytes() != (run / output).read_bytes()
 
     def test_map_and_connectivity_commands(self, tmp_path):
         run, truth = self.make_run(tmp_path)
@@ -608,3 +646,13 @@ class TestStreamedStages:
         assert stage_status(run_pipeline(cfg))["stitch"] == "ok"
         run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", out=tmp_path / "clean"))
         assert run_dir_digest(run) == run_dir_digest(tmp_path / "clean")
+
+
+def test_readme_names_every_config_key():
+    """The README's "Configuration keys" table names exactly the keys of ``cli.PARAMS``."""
+    import re
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    named = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+    assert sorted(named) == sorted(cli.PARAMS)
