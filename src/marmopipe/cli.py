@@ -10,8 +10,11 @@ stage's config values in canonical form (the ``repr`` of each typed value, so
 ``1.1`` and ``1.10`` are one key), the size and mtime of the files they name
 (each tile's PGM and ``.meta`` sidecar), and the keys of the stages it needs.
 
-The stitch and tracer stages stream: they hold one section per thread, never a
-whole volume, and append each output slice to its stack as it is made.
+All five stages stream: they hold one section per thread, never a whole
+high-resolution volume, and append each output slice to its stack as it is made.
+Locate cuts each ROI window from its own slice, map reads a field slice and the
+source slices it touches for each output slice, and connectivity tallies the
+atlas regions one slice at a time.
 
 Configuration files are line-oriented ``key=value`` with ``#`` comments; each key
 is one row of ``PARAMS``, which gives its type, default and check.
@@ -430,16 +433,18 @@ def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
                 low.write(plan.low.mean(slab))
 
 
-def _cells_in_roi(cfg: PipelineConfig, high_cb, mask, low_voxel_um):
-    """Detect cells with ``cfg.cell_backend`` inside the mask's high-resolution ROI rectangles."""
+def _cells_in_roi(cfg: PipelineConfig, high_path, mask, low_voxel_um):
+    """Detect cells with ``cfg.cell_backend`` inside the mask's high-resolution ROI
+    rectangles; each window is cut from its own slice of the stack ``high_path``."""
     model = nnseg.load_model(cfg.cell_model) if cfg.cell_backend == "unet" else None
     cutoff = cfg.thigh if model is not None else cfg.hessian_cutoff
+    high_cb = imgcore.StackReader(high_path)
     roi = injsite.roi_from_mask(mask, high_voxel_um=high_cb.voxel_size[0],
                                 low_voxel_um=low_voxel_um, pad_px=cfg.roi_pad)
-    roi = roi.clip(high_cb.data.shape[2], high_cb.data.shape[1])
+    roi = roi.clip(*high_cb.dims[:2])
     points, scores = [], []
     for z, (x0, y0, x1, y1) in sorted(roi.rects.items()):
-        window = high_cb.data[z, y0:y1, x0:x1]
+        window = high_cb.slab(z, z + 1)[0, y0:y1, x0:x1]
         if window.size == 0:
             continue
         if model is not None:
@@ -464,7 +469,7 @@ def locate_injection(cfg: PipelineConfig, low_path, high_path, out: Path):
     if mask.empty:
         cloud = injsite.CellPointCloud(points=[], scores=[])
     else:
-        cloud = _cells_in_roi(cfg, imgcore.read_stack(high_path), mask, low_cb.voxel_size[0])
+        cloud = _cells_in_roi(cfg, high_path, mask, low_cb.voxel_size[0])
     cloud.save(out / "cells.txt")
     return mask, cloud
 
@@ -496,29 +501,44 @@ def segment_tracer(cfg: PipelineConfig, cg_stack, cr_stack, out: Path) -> None:
 
 def map_stacks(cfg: PipelineConfig, jobs) -> None:
     """Resample each ``(source, interpolation, destination)`` job through ``cfg.field``,
-    loading a saved field once.  ``field=identity`` writes each source as it was read:
-    resampling through a zero field on the source's own grid is an exact copy."""
-    field = None if cfg.field == "identity" else mapping.load_field(cfg.field)
+    one slice at a time.  ``field=identity`` copies each source: resampling through a
+    zero field on the source's own grid is an exact copy."""
+    field = None if cfg.field == "identity" else cfg.field
     for src, interp, dst in jobs:
-        stack = imgcore.read_stack(src)
-        if field is not None:
-            stack = mapping.apply_field(stack, field, interpolation=interp)
-        imgcore.write_stack(stack, dst)
+        mapping.map_stack(src, field, interp, dst)
 
 
 def connectivity_table(cfg: PipelineConfig, signal_stack, mask_stack, cells, out_path) -> None:
-    """Write the region-wise table; ``cfg.sources`` picks the mask or the cells."""
+    """Write the region-wise table; ``cfg.sources`` picks the mask or the cells.
+
+    Shapes are checked from the headers before any slice is read.  One pass over the
+    slices of ``atlas`` and the signal sums the targets, and counts the sources when
+    they lie on that atlas: the cells, or a mask with no ``atlas_low``.  A mask on
+    ``atlas_low`` is counted in a pass of its own.
+    """
     if not cfg.atlas:
         raise ConfigError("connectivity stage requires atlas=<prefix>")
-    atlas_high = mapping.RegionAtlas.load(cfg.atlas)
-    atlas_low = mapping.RegionAtlas.load(cfg.atlas_low) if cfg.atlas_low else atlas_high
+    atlas = imgcore.StackReader(cfg.atlas)
+    source_atlas, mask, cloud = atlas, None, None
     if cfg.sources == "cells":
-        sources, out_src = mapping.injection_regions(injsite.CellPointCloud.load(cells), atlas_high)
+        cloud = injsite.CellPointCloud.load(cells)
     else:
-        sources, out_src = mapping.injection_regions(imgcore.read_stack(mask_stack), atlas_low)
-    signal = imgcore.read_stack(signal_stack)
-    targets, out_tgt = mapping.projection_strengths(signal, atlas_high,
-                                                    normalize=bool(cfg.normalize))
+        if cfg.atlas_low:
+            source_atlas = imgcore.StackReader(cfg.atlas_low)
+        mask = imgcore.StackReader(mask_stack)
+        mapping.check_congruent("mask", mask.shape, source_atlas.shape)
+    signal = imgcore.StackReader(signal_stack)
+    mapping.check_congruent("signal", signal.shape, atlas.shape)
+    names = mapping.atlas_names(cfg.atlas)
+    if source_atlas is atlas:
+        tally = src_tally = mapping.tally_regions(atlas, names, signal=signal, mask=mask,
+                                                  cells=cloud)
+    else:
+        tally = mapping.tally_regions(atlas, names, signal=signal)
+        src_tally = mapping.tally_regions(source_atlas, mapping.atlas_names(cfg.atlas_low),
+                                          mask=mask)
+    sources, out_src = src_tally.sources()
+    targets, out_tgt = tally.targets(normalize=bool(cfg.normalize))
     table = mapping.ConnectivityTable(
         brain_id=cfg.brain_id, injection_id=cfg.injection_id,
         sources={k: float(v) for k, v in sources.items()}, targets=targets,

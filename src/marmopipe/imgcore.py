@@ -10,8 +10,9 @@ Conventions used throughout the package:
 * All computation happens on float64 arrays; 16-bit quantization only occurs
   when writing ``u16`` payloads.
 * A stack moves between disk and memory one z-slice at a time through
-  ``StackWriter`` and ``StackReader``; ``write_stack`` and ``read_stack`` pass
-  whole stacks through them.  ``read_tile_info`` reads a tile's placement and
+  ``StackWriter`` and ``StackReader``, or a slab of slices at a time through
+  ``StackReader.slab``; ``write_stack`` and ``read_stack`` pass whole stacks
+  through them.  ``read_tile_info`` reads a tile's placement and
   extent without its pixels.
 """
 
@@ -368,6 +369,17 @@ class StackReader:
     def __iter__(self):
         for plane in self._payload_slices():
             yield plane.astype(np.float64)
+
+    def slab(self, z0: int, z1: int) -> np.ndarray:
+        """Slices ``z0:z1`` as one float64 (z1 - z0, ny, nx) array; only they are read."""
+        nx, ny, nz = self.dims
+        if not 0 <= z0 <= z1 <= nz:
+            raise IndexError(f"slab {z0}:{z1} outside 0:{nz}")
+        with open(self.raw, "rb") as f:
+            f.seek(z0 * self._slice_bytes)
+            blob = f.read((z1 - z0) * self._slice_bytes)
+        payload = np.frombuffer(blob, dtype=_STACK_DTYPES[self.dtype])
+        return payload.reshape(z1 - z0, ny, nx).astype(np.float64)
 
 
 def write_stack(stack: Stack3D, prefix) -> Path:

@@ -154,18 +154,15 @@ def assemble_slice(tiles: list[Tile2D], layout: MosaicLayout | None = None, marg
         plain[sl] += tile.pixels
         count[sl] += 1
 
-    out = np.zeros((h, w), dtype=np.float64)
-    single = count == 1
-    out[single] = plain[single]
+    # the result is built in `plain`: single-tile pixels keep their value, holes stay 0;
+    # overlaps take the plain mean, then the ramp-weighted mean where the ramps' sum > 0
     multi = count > 1
-    pos = multi & (weights > 0)
-    out[pos] = weighted[pos] / weights[pos]
-    flat = multi & (weights == 0)  # coincident ramp zeros: plain mean
-    out[flat] = plain[flat] / count[flat]
+    np.divide(plain, count, out=plain, where=multi)
+    np.divide(weighted, weights, out=plain, where=multi & (weights > 0))
     holes = int((count == 0).sum())
     if holes:
         log.warning("%d mosaic pixels had no contributing tile (filled 0)", holes)
-    return out
+    return plain
 
 
 def section_spacing(zs, extents) -> float:

@@ -1,10 +1,12 @@
+import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marmopipe import cli
+from marmopipe import cli, imgcore, mapping
 from marmopipe.cli import (
     ConfigError,
     PipelineConfig,
@@ -15,9 +17,9 @@ from marmopipe.cli import (
     validate_config,
 )
 from marmopipe.evalsynth import PhantomSpec, generate_phantom
-from marmopipe.imgcore import read_stack, write_tile
+from marmopipe.imgcore import Stack3D, read_stack, write_stack, write_tile
 from marmopipe.injsite import CellPointCloud
-from marmopipe.mapping import ConnectivityTable, identity_field, save_field
+from marmopipe.mapping import ConnectivityTable, DisplacementField, identity_field, save_field
 from rundigest import run_dir_digest
 
 
@@ -64,6 +66,15 @@ def pipeline_config(tmp_path, truth_dir, **overrides):
     )
     values.update({k: str(v) for k, v in overrides.items()})
     return PipelineConfig(values=values)
+
+
+def save_warp(truth, prefix) -> None:
+    """Save a smooth field on the phantom's high-resolution grid that moves samples in
+    x, y and z (by up to 10 µm, a fifth of a section), some of them out of the volume."""
+    shape = truth.tracer_mask.shape
+    z, y, x = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij")
+    disp = np.stack([2.0 * np.cos(y / 9.0), 3.0 * np.sin(x / 7.0), 10.0 * np.sin(x / 11.0 + z)])
+    save_field(DisplacementField(disp, truth.atlas_high.voxel_size), prefix)
 
 
 class TestConfig:
@@ -546,36 +557,44 @@ def test_imap_is_ordered_lazy_and_bounded():
 
 
 class TestStreamedStages:
-    """The stitch and tracer stages hold one section at a time, never a whole volume."""
+    """Every stage holds one section at a time, never a whole volume."""
 
     @staticmethod
     def stage_peaks(root: Path, n_sections: int) -> dict:
-        """tracemalloc peak (bytes) of the stitch and tracer stages, run on the small
-        phantom with ``n_sections`` sections."""
+        """tracemalloc peak (bytes) of each stage, run on the small phantom with
+        ``n_sections`` sections; then of map and connectivity again through a saved
+        non-zero field (``map_field``, ``connectivity_field``)."""
         import tracemalloc
-        write_phantom(root, small_spec(n_sections=n_sections, n_cells=4, n_axons=1, inj_z1=1))
+        _, truth = write_phantom(root, small_spec(n_sections=n_sections, n_cells=4, n_axons=1,
+                                                  inj_z1=1))
         cfg = pipeline_config(root, root / "truth", flatfield="estimate")
+        save_warp(truth, root / "field")
+        warped = pipeline_config(root, root / "truth", flatfield="estimate",
+                                 field=root / "field", atlas_low="")
+        runs = [(stage.name, stage, cfg) for stage in cli.STAGE_TABLE]
+        runs += [(f"{stage.name}_field", stage, warped) for stage in cli.STAGE_TABLE
+                 if stage.name in ("map", "connectivity")]
         report, peaks = cli.RunReport(), {}
         tracemalloc.start()
         try:
-            for stage in cli.STAGE_TABLE:
-                if stage.name in ("stitch", "tracer"):
-                    tracemalloc.reset_peak()
-                    base = tracemalloc.get_traced_memory()[0]
-                    cli._run_stage(stage, cfg, report)
-                    peaks[stage.name] = tracemalloc.get_traced_memory()[1] - base
+            for name, stage, config in runs:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                cli._run_stage(stage, config, report)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        assert "status=skip" not in report.text()
         return peaks
 
-    def test_stitch_and_tracer_memory_does_not_grow_with_depth(self, tmp_path):
-        """Four times the sections, the same peak within 1 MiB.  A section mosaic here is
-        about 0.6 MiB as float64, so holding one channel's volume would add 3.6 MiB.
-        The locate, map and connectivity stages still read whole volumes and are not
-        checked."""
+    def test_stage_memory_does_not_grow_with_depth(self, tmp_path):
+        """Four times the sections, the same peak within 1 MiB for every stage, with the
+        identity and with a real field.  A section mosaic here is about 0.6 MiB as
+        float64, so holding one channel's volume would add 3.6 MiB."""
         shallow = self.stage_peaks(tmp_path / "shallow", 2)
         deep = self.stage_peaks(tmp_path / "deep", 8)
-        for name in ("stitch", "tracer"):
+        assert len(deep) == 7
+        for name in deep:
             assert deep[name] - shallow[name] < 1 << 20, (name, shallow[name], deep[name])
 
     def test_low_stack_bins_straddle_sections(self, tmp_path):
@@ -646,6 +665,95 @@ class TestStreamedStages:
         assert stage_status(run_pipeline(cfg))["stitch"] == "ok"
         run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", out=tmp_path / "clean"))
         assert run_dir_digest(run) == run_dir_digest(tmp_path / "clean")
+
+
+class TestWholeVolumeReads:
+    """No stage reads a high-resolution stack whole: only the 50 µm ``low_CB`` is."""
+
+    @pytest.mark.parametrize("sources", ["mask", "cells"])
+    @pytest.mark.parametrize("field", ["identity", "warp"])
+    def test_no_high_resolution_stack_is_read_whole(self, tmp_path, monkeypatch, field, sources):
+        _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        overrides = dict(sources=sources)
+        if field == "warp":  # the mask is mapped onto the high-resolution grid
+            save_warp(truth, tmp_path / "field")
+            overrides.update(field=tmp_path / "field", atlas_low="")
+        read = []
+
+        def recorded(read_stack):
+            def record(prefix):
+                stack = read_stack(prefix)
+                read.append((Path(prefix).name, stack.voxel_size[0]))
+                return stack
+            return record
+
+        load = mapping.RegionAtlas.load.__func__
+
+        def record_atlas(cls, prefix):
+            atlas = load(cls, prefix)
+            read.append((Path(prefix).name, atlas.voxel_size[0]))
+            return atlas
+
+        monkeypatch.setattr(imgcore, "read_stack", recorded(imgcore.read_stack))
+        monkeypatch.setattr(mapping, "read_stack", recorded(mapping.read_stack))
+        monkeypatch.setattr(mapping.RegionAtlas, "load", classmethod(record_atlas))
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", **overrides)
+        assert run_pipeline(cfg).text().count("status=ok") == 5
+        assert ("low_CB", cfg.low_voxel_um) in read
+        assert [name for name, voxel in read if voxel != cfg.low_voxel_um] == []
+
+
+class TestStreamedFailures:
+    @pytest.mark.parametrize("case, match", [
+        ("nan", "displacement vectors must be finite"),
+        ("shape", ".*_dz does not match the shape of .*_dx"),
+    ], ids=["nan", "shape"])
+    def test_bad_field_fails_map_and_leaves_no_header(self, tmp_path, case, match):
+        """A NaN in the field's last slice fails the map stage after it has written every
+        other slice; a ``_dz`` of the wrong shape fails it before the first."""
+        _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        save_warp(truth, tmp_path / "field")
+        part = read_stack(tmp_path / "field_dz")
+        data = part.data[:, :-1] if case == "shape" else part.data
+        if case == "nan":
+            data[-1, 5, 5] = np.nan
+        write_stack(Stack3D(data, part.voxel_size), tmp_path / "field_dz")
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", field=tmp_path / "field",
+                              atlas_low="")
+        with pytest.raises(RuntimeError, match="stage map failed: " + match):
+            run_pipeline(cfg)
+        assert not (tmp_path / "run" / "mapped_L.hdr").exists()
+        assert "map" not in json.loads((tmp_path / "run" / "stages.json").read_text())
+
+    def test_signal_off_the_atlas_fails_before_any_slice_or_table(self, tmp_path, monkeypatch):
+        """``mapped_L`` and an atlas one row short: the connectivity stage fails on the
+        headers, before it reads a slice, and writes no table."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
+        (tmp_path / "run" / "connectivity.txt").unlink()
+        atlas = read_stack(tmp_path / "truth" / "atlas_high")
+        write_stack(Stack3D(atlas.data[:, :-1], atlas.voxel_size, dtype="u16"), tmp_path / "short")
+
+        def no_slice(*args):
+            raise AssertionError("a slice was read")
+
+        monkeypatch.setattr(imgcore.StackReader, "_payload_slices", no_slice)
+        monkeypatch.setattr(imgcore.StackReader, "slab", no_slice)
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", atlas=tmp_path / "short")
+        nz, ny, nx = atlas.data.shape
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"stage connectivity failed: signal {(nz, ny, nx)} incongruent with atlas "
+                f"{(nz, ny - 1, nx)}")):
+            run_pipeline(cfg)
+        assert not (tmp_path / "run" / "connectivity.txt").exists()
+
+    def test_map_onto_its_own_source_is_refused(self, tmp_path, capsys):
+        """Streaming into the stack it reads would truncate it before it is read."""
+        write_stack(Stack3D(np.arange(24.0).reshape(2, 3, 4), (1.0, 1.0, 1.0)), tmp_path / "s")
+        before = (tmp_path / "s.raw").read_bytes()
+        assert cli.main(["map", "--in", str(tmp_path / "s"), "--out", str(tmp_path / "s")]) == 2
+        assert "is the stack it would be mapped from" in capsys.readouterr().err
+        assert (tmp_path / "s.raw").read_bytes() == before
 
 
 def test_readme_names_every_config_key():

@@ -127,8 +127,9 @@ class TestStackIO:
             assert back.voxel_size == stack.voxel_size
 
     def test_slice_writer_and_reader(self, tmp_path):
-        """Slices written one by one read back as written; a stack left short of its
-        ``nz`` slices gets no header, so it cannot be read as if complete."""
+        """Slices written one by one read back as written, one by one or as a slab of
+        slices; a stack left short of its ``nz`` slices gets no header, so it cannot be
+        read as if complete."""
         data = np.random.default_rng(2).integers(0, 65536, size=(3, 5, 4)).astype(np.float64)
         with StackWriter(tmp_path / "s", (4, 5, 3), (1.0, 1.0, 2.0), "CB", "u16") as out:
             for plane in data:
@@ -136,6 +137,10 @@ class TestStackIO:
         reader = StackReader(tmp_path / "s")
         assert (reader.shape, reader.voxel_size, reader.channel) == ((3, 5, 4), (1.0, 1.0, 2.0), "CB")
         assert np.array_equal(np.stack(list(reader)), data)
+        for z0, z1 in ((0, 3), (1, 2), (2, 3), (1, 1)):
+            assert np.array_equal(reader.slab(z0, z1), data[z0:z1])
+        with pytest.raises(IndexError, match="outside 0:3"):
+            reader.slab(2, 4)
 
         short = StackWriter(tmp_path / "s", (4, 5, 3), (1.0, 1.0, 2.0), "CB", "u16")
         short.write(data[0])

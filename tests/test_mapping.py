@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from marmopipe.imgcore import Stack3D
+from marmopipe.imgcore import Stack3D, write_stack
 from marmopipe.injsite import CellPointCloud
 from marmopipe.mapping import (
     ConnectivityTable,
@@ -11,8 +13,10 @@ from marmopipe.mapping import (
     identity_field,
     injection_regions,
     load_field,
+    map_stack,
     projection_strengths,
     save_field,
+    tally_regions,
 )
 
 import oracles
@@ -86,6 +90,74 @@ class TestApplyField:
         stack = stack_of(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             apply_field(stack, identity_field((2, 2, 2), (1, 1, 1)), "cubic")
+
+
+def resample_case(i: int, root) -> str:
+    """Write random case ``i``, a source stack ``root/src`` and a saved field
+    ``root/field``, and return its interpolation.  Every third case is congruent; the
+    others put the field on a grid of other spacings over about the source's extent.
+    Offsets of about 0.4 source voxels, plus a shift of 1.5 voxels in every fifth case,
+    take some samples out of the source; an axis without offsets (drawn 3 times in 10)
+    has its upper corners skipped."""
+    rng = np.random.default_rng(500 + i)
+    shape = tuple(int(n) for n in rng.integers(2, 8, 3))
+    voxel = np.round(rng.uniform(0.5, 3.0, 3), 2)
+    dtype = "u16" if i % 4 == 1 else "f32"
+    scale = 1000.0 if dtype == "u16" else 1.0
+    write_stack(Stack3D(rng.random(shape) * scale, tuple(voxel), dtype=dtype), root / "src")
+    grid, spacing = shape, voxel
+    if i % 3:
+        spacing = voxel * rng.uniform(0.7, 1.3, 3)
+        grid = tuple(max(2, round(n * v / w))
+                     for n, v, w in zip(shape, voxel[::-1], spacing[::-1]))
+    disp = rng.normal(0.0, 0.4, (3,) + grid)
+    disp[rng.random(3) < 0.3] = 0.0
+    if i % 5 == 4:
+        disp += 1.5
+    save_field(DisplacementField(disp * voxel[:, None, None, None], tuple(spacing)),
+               root / "field")
+    return ("linear", "nearest")[i % 2]
+
+
+# sha256 (first 16 hex digits) of the .hdr and .raw bytes of each case, as the map
+# stage wrote them before it streamed: load_field, then apply_field on the whole
+# source, then write_stack.
+PINNED_RESAMPLE = (
+    "53db4f33faf4e09a", "e877955dc449a553", "881caa3affc15ac6", "cd872881d79c321a",
+    "3d2e19c8dd102839", "40fb50a1b7f8040b", "be21d1731f4c270b", "1463ab373c0c00a5",
+    "5013691055c7b9de", "e01c3061126b4613", "93b4b5b15d0e28f0", "b533515db041cab3",
+    "5384442f7530fc3f", "a3f36c5e7f9bbee4", "0a52c2933d38bc6b", "71d599bc6fe1cb2e",
+    "8828e423ec4fecf8", "dcb22f2396d8eb0e", "db66e8e6e3d0683e", "dc8f6e3ec5557b97",
+    "c56b41a60b21dd34", "b483e34efa1c2c05", "37f04006ad86fe2d", "da34a0b4e1c498f1",
+    "5975d8786165da39", "f0ae824b10e4d015", "3e4f1899a77ee63e", "62b8f2f64589a566",
+    "71ad1a3cb11adc4d", "20d67b84034341d3", "e89d0b2ee0f5e91b", "0a83a9adef8bef7a",
+    "af2c8bdbf13cb1d9", "f2534740cfb92f4a", "658d09d3e7f184be", "9da9d23a9e401da6",
+)
+
+
+def test_streamed_map_matches_the_whole_volume_bytes(tmp_path):
+    """``map_stack`` writes, case by case, the bytes of the whole-volume map stage."""
+    got = []
+    for i in range(len(PINNED_RESAMPLE)):
+        root = tmp_path / str(i)
+        root.mkdir()
+        map_stack(root / "src", root / "field", resample_case(i, root), root / "out")
+        blob = (root / "out.hdr").read_bytes() + (root / "out.raw").read_bytes()
+        got.append(hashlib.sha256(blob).hexdigest()[:16])
+    assert [i for i, (a, b) in enumerate(zip(got, PINNED_RESAMPLE)) if a != b] == []
+
+
+def test_streamed_target_sums_are_one_bincount():
+    """Carried through one ``bincount`` per slice, the target sums are the bits of one
+    whole-volume ``bincount``; per-slice partial sums, added up, are not."""
+    rng = np.random.default_rng(14)
+    labels = rng.integers(0, 6, (40, 24, 24))
+    signal = rng.random(labels.shape) * 10.0 ** rng.uniform(-4, 4, labels.shape)
+    whole = np.bincount(labels.ravel(), weights=signal.ravel())
+    assert tally_regions(labels, signal=signal).sums.tobytes() == whole.tobytes()
+    partial = sum(np.bincount(lab.ravel(), weights=sig.ravel(), minlength=6)
+                  for lab, sig in zip(labels, signal))
+    assert partial.tobytes() != whole.tobytes()
 
 
 def three_region_atlas(shape=(3, 4, 9)):
