@@ -302,8 +302,9 @@ def _save_keys(out: Path, keys: dict) -> None:
 
 def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
     """Run or skip one stage in ``cfg.out`` and add its line to ``report``.  The key
-    is dropped before the body runs and stored after it returns, so a failed or killed
-    stage always reruns."""
+    and the stage's outputs are removed before the body runs, and the key is stored
+    after it returns, so a failed or killed stage always reruns and leaves no output
+    of an earlier run behind.  The outputs of the stages after it stay."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / name for name in stage.outputs]
@@ -318,6 +319,8 @@ def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
         return
     stored.pop(stage.name, None)
     _save_keys(out, stored)
+    for p in outputs:
+        p.unlink(missing_ok=True)
     t0 = time.time()
     try:
         stage.body(cfg, out)
@@ -386,9 +389,8 @@ def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
 
     Every section is planned from the tile headers first, so the checks on layout,
     spacing and binning run before a slice is written.  With ``flatfield=estimate``,
-    pass 1 streams each channel's tiles through the shading estimate.  Pass 2 reads,
-    corrects and assembles one section at a time (``threads`` at once), appends it to
-    ``high_<ch>`` and bins each complete z-bin into ``low_<ch>``.
+    pass 1 streams each channel's tiles through the shading estimate.  Pass 2 stitches
+    one channel at a time (``_stitch_channel``).
     """
     index = _tile_index(tile_dir)
     if not index:
@@ -412,25 +414,34 @@ def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
         else:
             fields[ch] = flatfield.field_from_stack(imgcore.read_stack(f"{mode}_{ch}"))
 
-    for ch, plan in plans.items():
-        field = fields.get(ch)
+    for ch in list(plans):  # a channel's plan is dropped once its pass is done
+        _stitch_channel(cfg, ch, plans.pop(ch), fields.get(ch), out)
 
-        def mosaic(section):
-            infos, layout = section
-            tiles = [imgcore.read_tile(info.path) for info in infos]
-            if field is not None:
-                tiles = [flatfield.correct_tile(t, field) for t in tiles]
-            return stitch.assemble_slice(tiles, layout=layout, margin=cfg.margin)
 
-        mosaics = _imap(mosaic, zip(plan.sections, plan.layouts), cfg.threads)
-        with imgcore.StackWriter(out / f"high_{ch}", plan.dims, plan.voxel_size, ch, "u16") as high, \
-                imgcore.StackWriter(out / f"low_{ch}", plan.low.shape[::-1], plan.low.voxel_size,
-                                    ch, "f32") as low:
-            for z0, z1 in plan.low.z_ranges:
-                slab = np.stack([next(mosaics) for _ in range(z0, z1)])
-                for plane in slab:
-                    high.write(plane)
-                low.write(plan.low.mean(slab))
+def _stitch_channel(cfg: PipelineConfig, ch: str, plan: _ChannelPlan, field, out: Path) -> None:
+    """Read, correct by ``field`` (if any) and assemble one section at a time
+    (``threads`` at once), append it to ``high_<ch>`` and bin each complete z-bin into
+    ``low_<ch>``.  The blend coverage of the last ``threads`` layouts is kept for the
+    pass, so sections that share a layout compute it once."""
+    coverage = functools.lru_cache(maxsize=cfg.threads)(stitch.blend_coverage)
+
+    def mosaic(section):
+        infos, layout = section
+        tiles = [imgcore.read_tile(info.path) for info in infos]
+        if field is not None:
+            tiles = [flatfield.correct_tile(t, field) for t in tiles]
+        blend = coverage(tuple(layout.offsets), layout.extent, layout.tile_extent)
+        return stitch.assemble_slice(tiles, layout=layout, margin=cfg.margin, coverage=blend)
+
+    mosaics = _imap(mosaic, zip(plan.sections, plan.layouts), cfg.threads)
+    with imgcore.StackWriter(out / f"high_{ch}", plan.dims, plan.voxel_size, ch, "u16") as high, \
+            imgcore.StackWriter(out / f"low_{ch}", plan.low.shape[::-1], plan.low.voxel_size,
+                                ch, "f32") as low:
+        for z0, z1 in plan.low.z_ranges:
+            slab = np.stack([next(mosaics) for _ in range(z0, z1)])
+            for plane in slab:
+                high.write(plane)
+            low.write(plan.low.mean(slab))
 
 
 def _cells_in_roi(cfg: PipelineConfig, high_path, mask, low_voxel_um):
@@ -581,9 +592,13 @@ _STAGES = [(stage.name, functools.partial(_run_stage, stage)) for stage in STAGE
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
-    """Run all stages in order; failures halt with the stage name attached."""
+    """Check ``cfg`` as a config file is checked, then run all stages in order; failures
+    halt with the stage name attached."""
     if not cfg.tiles or not cfg.out:
         raise ConfigError("run requires tiles=<dir> and out=<dir>")
+    errors = validate_config(cfg.values)
+    if errors:
+        raise ConfigError("; ".join(errors))
     report = RunReport()
     try:
         for _, run_stage in _STAGES:

@@ -73,9 +73,10 @@ def estimate_shading(tiles, lower_cut: float = 2.0, upper_cut: float = 2500.0) -
             raise ValueError(f"inconsistent tile extent {pix.shape} vs {extent}")
         elif ch != channel:
             raise ValueError(f"mixed channels in tile stream: {ch} vs {channel}")
-        ok = (pix >= lower_cut) & (pix <= upper_cut)
-        sums[ok] += pix[ok]
-        counts[ok] += 1
+        ok = pix >= lower_cut
+        ok &= pix <= upper_cut
+        np.add(sums, pix, out=sums, where=ok)
+        counts += ok
         n_tiles += 1
     if n_tiles == 0:
         raise ValueError("empty tile stream")
@@ -103,7 +104,8 @@ def correct_tile(tile: Tile2D, field: ShadingField) -> Tile2D:
         )
     if field.channel != tile.channel:
         raise ValueError(f"channel mismatch: tile {tile.channel}, field {field.channel}")
-    corrected = np.clip(tile.pixels / field.values, 0.0, float(U16_MAX))
+    corrected = tile.pixels / field.values
+    np.clip(corrected, 0.0, float(U16_MAX), out=corrected)
     return Tile2D(
         pixels=corrected,
         channel=tile.channel,

@@ -318,7 +318,8 @@ class StackWriter:
         if self.written == nz:
             raise ValueError(f"{self.raw}: all {nz} slices already written")
         if self.dtype == "u16":
-            payload = np.clip(np.rint(plane), 0, U16_MAX).astype("<u2")
+            payload = np.rint(plane)
+            payload = np.clip(payload, 0, U16_MAX, out=payload).astype("<u2")
         else:
             payload = plane.astype("<f4")
         self._file.write(payload.data)
@@ -436,6 +437,7 @@ class BoxGrid:
         self.shape = (int(bz[-1]) + 1, int(self._by[-1]) + 1, int(self._bx[-1]) + 1)
         bounds = np.searchsorted(bz, np.arange(self.shape[0] + 1))
         self.z_ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._counts = {}  # source voxels per output voxel, by slab length
 
     def mean(self, slab: np.ndarray) -> np.ndarray:
         """The (oy, ox) output slice of the source slices ``slab`` of one z-range.
@@ -444,9 +446,13 @@ class BoxGrid:
         the whole stack would, so binning slice by slice gives the same bits.
         """
         _, oy, ox = self.shape
-        flat = np.tile((self._by[:, None] * ox + self._bx[None, :]).ravel(), len(slab))
+        flat = (self._by[:, None] * ox + self._bx[None, :]).ravel()
+        if len(slab) > 1:
+            flat = np.tile(flat, len(slab))
         sums = np.bincount(flat, weights=slab.ravel(), minlength=oy * ox)
-        counts = np.bincount(flat, minlength=oy * ox)
+        counts = self._counts.get(len(slab))
+        if counts is None:
+            counts = self._counts[len(slab)] = np.bincount(flat, minlength=oy * ox)
         return (sums / counts).reshape(oy, ox)
 
 

@@ -9,7 +9,9 @@ where four tiles meet.
 
 A section's layout needs only the tiles' headers, so a whole stack can be planned
 and checked (``plan_layout``, ``section_spacing``) before its sections are
-assembled one at a time.
+assembled one at a time.  What the tiles of a layout cover (``blend_coverage``:
+ramp sums, tile counts, which pixels blend) does not depend on their pixels, so
+sections that share a layout share it.
 """
 
 from __future__ import annotations
@@ -125,43 +127,80 @@ def _ramp(n: int) -> np.ndarray:
     return np.minimum(x, (n - 1) - x)
 
 
-def assemble_slice(tiles: list[Tile2D], layout: MosaicLayout | None = None, margin: int = 50) -> np.ndarray:
+@dataclass
+class BlendCoverage:
+    """What a layout's tiles cover, the same for every section laid out alike.
+
+    ``ramp`` is one tile's blend weight, ``weights`` the ramps' sum per mosaic pixel
+    and ``count`` the tiles per pixel.  ``blend`` marks the pixels of two or more
+    tiles with a ramp sum > 0, which take the ramp-weighted mean; ``mean`` those
+    whose ramps are all 0, which take the plain mean; ``holes`` counts the pixels of
+    no tile.
+    """
+
+    ramp: np.ndarray
+    weights: np.ndarray
+    count: np.ndarray
+    blend: np.ndarray
+    mean: np.ndarray
+    holes: int
+
+
+def blend_coverage(offsets, extent, tile_extent) -> BlendCoverage:
+    """The ``BlendCoverage`` of tiles of ``tile_extent`` (w, h) at ``offsets`` in a
+    mosaic of ``extent`` (w, h); the arguments are a ``MosaicLayout``'s, as tuples."""
+    (w, h), (tw, th) = extent, tile_extent
+    ramp = _ramp(th)[:, None] * _ramp(tw)[None, :]
+    weights = np.zeros((h, w), dtype=np.float64)
+    count = np.zeros((h, w), dtype=np.min_scalar_type(len(offsets)))
+    for ox, oy in offsets:
+        sl = (slice(oy, oy + th), slice(ox, ox + tw))
+        weights[sl] += ramp
+        count[sl] += 1
+    multi = count > 1
+    blend = multi & (weights > 0)
+    return BlendCoverage(ramp=ramp, weights=weights, count=count, blend=blend,
+                         mean=multi & ~blend, holes=int((count == 0).sum()))
+
+
+def assemble_slice(tiles: list[Tile2D], layout: MosaicLayout | None = None, margin: int = 50,
+                   coverage: BlendCoverage | None = None) -> np.ndarray:
     """Fuse one section's tiles into a single 2D image.
 
     Tiles are margin-cropped, placed at their layout offsets, and fused with
     per-tile separable linear ramps (zero on the cropped edges) renormalized
     to sum 1 per pixel.  Pixels covered by exactly one tile keep that tile's
     values untouched; pixels covered by none are 0 and counted in a warning.
+    ``coverage`` is the layout's ``blend_coverage``, computed here if not given,
+    so a stack whose sections share a layout computes it once.
     """
-    cropped = [crop_margins(t, margin) for t in tiles]
     if layout is None:
-        layout = plan_layout(cropped)
+        layout = plan_layout(tiles, margin)
     tw, th = layout.tile_extent
-    if any(t.pixels.shape != (th, tw) for t in cropped):
+    cropped = []
+    for t in tiles:
+        _check_margin(margin, t.width, t.height)
+        cropped.append(t.pixels[margin:t.height - margin, margin:t.width - margin])
+    if len(cropped) != len(layout.offsets) or any(p.shape != (th, tw) for p in cropped):
         raise ValueError("layout tile extent does not match the tiles")
+    if coverage is None:
+        coverage = blend_coverage(tuple(layout.offsets), layout.extent, layout.tile_extent)
 
     w, h = layout.extent
-    weighted = np.zeros((h, w), dtype=np.float64)
-    weights = np.zeros((h, w), dtype=np.float64)
     plain = np.zeros((h, w), dtype=np.float64)
-    count = np.zeros((h, w), dtype=np.int64)
-
-    ramp = _ramp(th)[:, None] * _ramp(tw)[None, :]
-    for tile, (ox, oy) in zip(cropped, layout.offsets):
+    weighted = np.zeros((h, w), dtype=np.float64)
+    product = np.empty((th, tw), dtype=np.float64)
+    for pixels, (ox, oy) in zip(cropped, layout.offsets):
         sl = (slice(oy, oy + th), slice(ox, ox + tw))
-        weighted[sl] += ramp * tile.pixels
-        weights[sl] += ramp
-        plain[sl] += tile.pixels
-        count[sl] += 1
+        plain[sl] += pixels
+        weighted[sl] += np.multiply(coverage.ramp, pixels, out=product)
 
     # the result is built in `plain`: single-tile pixels keep their value, holes stay 0;
-    # overlaps take the plain mean, then the ramp-weighted mean where the ramps' sum > 0
-    multi = count > 1
-    np.divide(plain, count, out=plain, where=multi)
-    np.divide(weighted, weights, out=plain, where=multi & (weights > 0))
-    holes = int((count == 0).sum())
-    if holes:
-        log.warning("%d mosaic pixels had no contributing tile (filled 0)", holes)
+    # overlaps take the ramp-weighted mean, or the plain mean where the ramps' sum is 0
+    np.divide(plain, coverage.count, out=plain, where=coverage.mean)
+    np.divide(weighted, coverage.weights, out=plain, where=coverage.blend)
+    if coverage.holes:
+        log.warning("%d mosaic pixels had no contributing tile (filled 0)", coverage.holes)
     return plain
 
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -241,6 +242,69 @@ class TestPipeline:
         assert status["connectivity"] == "ok"
         assert list(status.values()).count("skip") == 4
         ConnectivityTable.load(tmp_path / "run" / "connectivity.txt")
+
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(close=0), "close: expected an integer >= 1, got 0"),
+        (dict(lo=300, hi=300), "need lo < hi, got 300.0 >= 300.0"),
+    ], ids=["close", "lo_hi"])
+    def test_code_built_config_is_checked_before_any_stage(self, tmp_path, bad, match):
+        """A config built in code, not read from a file, is checked as a file's is:
+        ``run_pipeline`` raises before any stage runs and writes no run dir."""
+        (tmp_path / "tiles").mkdir()
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", atlas="", atlas_low="", **bad)
+        with pytest.raises(ConfigError) as info:
+            run_pipeline(cfg)
+        assert str(info.value) == match
+        assert not (tmp_path / "run").exists()
+
+    def test_failed_stage_leaves_none_of_its_old_outputs(self, tmp_path):
+        """After a good identity run, a field whose ``_dz`` is one row short fails the map
+        stage before it opens its writers.  The identity run's ``mapped_*`` are gone, so
+        nothing readable and complete-looking is left of them; the stages before map and
+        the connectivity table after it keep their outputs."""
+        _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        run = tmp_path / "run"
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
+        save_warp(truth, tmp_path / "field")
+        part = read_stack(tmp_path / "field_dz")
+        write_stack(Stack3D(part.data[:, :-1], part.voxel_size), tmp_path / "field_dz")
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", field=tmp_path / "field",
+                              atlas_low="")
+        with pytest.raises(RuntimeError, match="stage map failed: .*_dz does not match"):
+            run_pipeline(cfg)
+        for stage in cli.STAGE_TABLE:
+            left = [name for name in stage.outputs if (run / name).exists()]
+            assert left == ([] if stage.name == "map" else list(stage.outputs)), stage.name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stitch_calls_its_kernels_through_their_modules(self, tmp_path, monkeypatch,
+                                                            threads):
+        """The stitch stage calls ``stitch.assemble_slice`` once per section and channel,
+        ``flatfield.estimate_shading`` once per C_R/C_G channel and
+        ``flatfield.correct_tile`` once per corrected tile, each looked up on its module
+        at call time, where the benchmark's spans and the tests' hooks replace them."""
+        spec = small_spec(n_cells=4, n_axons=1)
+        write_phantom(tmp_path, spec)
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", flatfield="estimate",
+                              threads=threads)
+        calls = collections.Counter()
+
+        def count(module, name):
+            kernel = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli.stitch, "assemble_slice")
+        count(cli.flatfield, "estimate_shading")
+        count(cli.flatfield, "correct_tile")
+        cli._run_stage(cli.STAGE_TABLE[0], cfg, cli.RunReport())
+        tiles = spec.grid_x * spec.grid_y * spec.n_sections
+        assert calls == {"assemble_slice": 3 * spec.n_sections, "estimate_shading": 2,
+                         "correct_tile": 2 * tiles}
 
 
 def stage_status(report) -> dict:

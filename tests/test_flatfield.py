@@ -135,3 +135,47 @@ def test_field_stack_round_trip(tmp_path):
     back = field_from_stack(stack)
     assert np.allclose(back.values, field.values)
     assert back.channel == "CR"
+
+
+class TestOldFormulaOracle:
+    """The shading sums and the correction give the bits of their earlier formulas,
+    which are copied here."""
+
+    @staticmethod
+    def old_estimate(pixels, lower, upper):
+        sums = np.zeros(pixels[0].shape)
+        counts = np.zeros(pixels[0].shape, dtype=np.int64)
+        for pix in pixels:
+            ok = (pix >= lower) & (pix <= upper)
+            sums[ok] += pix[ok]
+            counts[ok] += 1
+        valid = counts > 0
+        values = np.ones(pixels[0].shape)
+        mean = sums[valid] / counts[valid]
+        values[valid] = mean / mean.mean()
+        return values, counts
+
+    @pytest.mark.parametrize("lower, upper", [(2.0, 2500.0), (37.25, 401.5)])
+    def test_estimate_shading_bits(self, lower, upper):
+        rng = np.random.default_rng(5)
+        pixels = []
+        for _ in range(9):
+            pix = rng.uniform(0.0, 3000.0, (23, 17))
+            pix[rng.random(pix.shape) < 0.1] = lower  # on the cuts: counted
+            pix[rng.random(pix.shape) < 0.1] = upper
+            pix[rng.random(pix.shape) < 0.05] = np.nextafter(lower, 0)  # just outside
+            pixels.append(pix)
+        pixels[0][3, 4] = pixels[1][3, 4] = 0.0  # one pixel valid only in later tiles
+        field = estimate_shading([tile_of(p) for p in pixels], lower, upper)
+        values, counts = self.old_estimate(pixels, lower, upper)
+        assert field.values.tobytes() == values.tobytes()
+        assert np.array_equal(field.valid_count, counts)
+
+    def test_correct_tile_bits(self):
+        rng = np.random.default_rng(6)
+        pix = rng.uniform(0.0, 65535.0, (19, 21))
+        pix[0, :3] = (0.0, 65535.0, 60000.0)
+        values = rng.uniform(0.4, 1.6, pix.shape)
+        out = correct_tile(tile_of(pix), ShadingField(values=values, channel="CG"))
+        assert out.pixels.tobytes() == np.clip(pix / values, 0.0, 65535.0).tobytes()
+        assert out.pixels.max() == 65535.0  # some quotients were clipped

@@ -246,3 +246,42 @@ class TestGaussianBlur:
 def test_mirror_indices_small():
     assert list(mirror_indices(4, 3, 3)) == [3, 2, 1, 0, 1, 2, 3, 2, 1, 0]
     assert list(mirror_indices(1, 2, 2)) == [0, 0, 0, 0, 0]
+
+
+class TestOldFormulaOracle:
+    """Binning and u16 quantization give the bits of their earlier formulas, which
+    are copied here."""
+
+    @pytest.mark.parametrize("nz, vz, tz", [
+        (4, 50.0, 50.0),   # one slice per bin
+        (5, 10.0, 20.0),   # two per bin, a short last bin
+        (7, 10.0, 30.0),   # three per bin, a short last bin
+    ], ids=["1-slice", "2-slice", "3-slice"])
+    def test_box_grid_mean_bits(self, nz, vz, tz):
+        from marmopipe.imgcore import BoxGrid, _axis_bins
+        rng = np.random.default_rng(nz)
+        data = rng.uniform(0.0, 65535.0, (nz, 23, 29))
+        voxel, target = (1.34, 1.34, vz), (5.0, 4.0, tz)
+        grid = BoxGrid(data.shape, voxel, target)
+        by, bx = _axis_bins(23, 1.34, 4.0), _axis_bins(29, 1.34, 5.0)
+        _, oy, ox = grid.shape
+        lengths = [z1 - z0 for z0, z1 in grid.z_ranges]
+        assert lengths[-1] < max(lengths) or max(lengths) == 1
+        for _ in range(2):  # the second pass reads the cached counts
+            for z0, z1 in grid.z_ranges:
+                slab = data[z0:z1]
+                flat = np.tile((by[:, None] * ox + bx[None, :]).ravel(), len(slab))
+                sums = np.bincount(flat, weights=slab.ravel(), minlength=oy * ox)
+                counts = np.bincount(flat, minlength=oy * ox)
+                want = (sums / counts).reshape(oy, ox)
+                assert grid.mean(slab).tobytes() == want.tobytes()
+
+    def test_u16_write_bits(self, tmp_path):
+        plane = np.array([[-3.0, -0.5, -0.2, 0.5, 1.5, 2.5],
+                          [65534.5, 65535.0, 65535.5, 70000.0, 3.49, 1e9]])
+        kept = plane.copy()
+        with StackWriter(tmp_path / "s", (6, 2, 1), (1.0, 1.0, 1.0), "NONE", "u16") as out:
+            out.write(plane)
+        want = np.clip(np.rint(kept), 0, 65535).astype("<u2")
+        assert (tmp_path / "s.raw").read_bytes() == want.tobytes()
+        assert plane.tobytes() == kept.tobytes()  # the caller's slice is left as it was

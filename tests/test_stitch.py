@@ -1,8 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 
-from marmopipe.imgcore import Tile2D
-from marmopipe.stitch import assemble_slice, assemble_stack, crop_margins, plan_layout
+from marmopipe import cli
+from marmopipe.imgcore import Tile2D, write_tile
+from marmopipe.stitch import (
+    assemble_slice,
+    assemble_stack,
+    blend_coverage,
+    crop_margins,
+    plan_layout,
+)
 
 import oracles
 
@@ -171,3 +180,131 @@ class TestAssembleStack:
         s = np.zeros((2, 2))
         with pytest.raises(ValueError, match="spacing"):
             assemble_stack([(0.0, s), (50.0, s), (140.0, s)])
+
+
+def old_assemble_slice(tiles, margin):
+    """``assemble_slice`` as it was written before the blend coverage was shared: every
+    section cropped its tiles and summed ramps, counts and masks of its own."""
+    cropped = [crop_margins(t, margin) for t in tiles]
+    layout = plan_layout(cropped)
+    (tw, th), (w, h) = layout.tile_extent, layout.extent
+    weighted, weights, plain = np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w))
+    count = np.zeros((h, w), dtype=np.int64)
+
+    def ramp(n):
+        x = np.arange(n, dtype=np.float64)
+        return np.minimum(x, (n - 1) - x)
+
+    r = ramp(th)[:, None] * ramp(tw)[None, :]
+    for tile, (ox, oy) in zip(cropped, layout.offsets):
+        sl = (slice(oy, oy + th), slice(ox, ox + tw))
+        weighted[sl] += r * tile.pixels
+        weights[sl] += r
+        plain[sl] += tile.pixels
+        count[sl] += 1
+    multi = count > 1
+    np.divide(plain, count, out=plain, where=multi)
+    np.divide(weighted, weights, out=plain, where=multi & (weights > 0))
+    return plain
+
+
+def random_tiles(rng, positions, size, pitch=1.0):
+    return [tile_at(rng.uniform(0.0, 65535.0, (size, size)), x * pitch, y * pitch,
+                    pitch=pitch, index=i) for i, (x, y) in enumerate(positions)]
+
+
+def grid(n, step):
+    return [(i * step, j * step) for j in range(n) for i in range(n)]
+
+
+class TestOldFormulaOracle:
+    """The shared coverage and the margin views give the bits of the formula above."""
+
+    @pytest.mark.parametrize("positions, size, margin", [
+        ([(0, 0)], 20, 3),
+        (grid(2, 13), 20, 3),                  # overlaps of 1 px: ramps sum to 0 there
+        (grid(3, 17), 30, 4),
+        ([(0, 0), (10, 0), (60, 40)], 20, 2),  # a disjoint tile: holes
+        (grid(3, 17), 30, 0),
+        ([(0.5, 0), (20.5, 0.5), (-0.5, 20)], 26, 1),  # offsets round half away
+    ], ids=["1-tile", "2x2", "3x3", "holes", "margin0", "half"])
+    def test_assemble_slice_bits(self, positions, size, margin):
+        tiles = random_tiles(np.random.default_rng(len(positions) + margin), positions, size)
+        want = old_assemble_slice(tiles, margin).tobytes()
+        layout = plan_layout(tiles, margin)
+        assert assemble_slice(tiles, margin=margin).tobytes() == want
+        assert assemble_slice(tiles, layout=layout, margin=margin).tobytes() == want
+        coverage = blend_coverage(tuple(layout.offsets), layout.extent, layout.tile_extent)
+        for _ in range(2):  # one coverage serves every section of its layout
+            assert assemble_slice(tiles, layout, margin, coverage).tobytes() == want
+            tiles = random_tiles(np.random.default_rng(7), positions, size)
+            want = old_assemble_slice(tiles, margin).tobytes()
+
+    def test_consecutive_layouts_that_differ(self):
+        """Sections of two L-shaped layouts of one extent, alternating, through a cache of
+        coverages like the stitch stage's: each section gets its own layout's blend."""
+        coverage = functools.lru_cache(maxsize=1)(blend_coverage)
+        rng = np.random.default_rng(8)
+        shapes = ([(0, 0), (14, 0), (0, 14)], [(0, 0), (14, 0), (14, 14)])
+        for k in range(4):
+            tiles = random_tiles(rng, shapes[k % 2], 24)
+            layout = plan_layout(tiles, 2)
+            cov = coverage(tuple(layout.offsets), layout.extent, layout.tile_extent)
+            out = assemble_slice(tiles, layout=layout, margin=2, coverage=cov)
+            assert out.tobytes() == old_assemble_slice(tiles, 2).tobytes()
+        assert coverage.cache_info().misses == 4
+
+    def test_layout_tile_count_mismatch(self):
+        tiles = random_tiles(np.random.default_rng(9), grid(2, 10), 16)
+        layout = plan_layout(tiles[:3], 2)
+        with pytest.raises(ValueError, match="does not match the tiles"):
+            assemble_slice(tiles, layout=layout, margin=2)
+
+
+class TestPlanLayoutMargin:
+    @pytest.mark.parametrize("pitch", [1.0, 0.5, 1.34])
+    @pytest.mark.parametrize("margin", [0, 1, 3])
+    def test_equals_layout_of_cropped_tiles(self, pitch, margin):
+        """Planning uncropped tiles with ``margin`` gives the layout of the cropped tiles,
+        including offsets that fall on a half pixel and round away from zero."""
+        rng = np.random.default_rng(int(pitch * 100) + margin)
+        halves = [(-2.5, 0.0), (0.0, 0.0), (2.5, -1.5), (9.5, 6.5), (-7.5, 3.5)]
+        for positions in (halves, rng.uniform(-20, 20, (6, 2)).round(1).tolist()):
+            tiles = [tile_at(np.zeros((12, 12)), x * pitch, y * pitch, pitch=pitch, index=i)
+                     for i, (x, y) in enumerate(positions)]
+            got = plan_layout(tiles, margin)
+            assert got == plan_layout([crop_margins(t, margin) for t in tiles])
+        assert got.tile_extent == (12 - 2 * margin,) * 2
+
+    def test_half_pixel_offsets_round_away_from_zero(self):
+        tiles = [tile_at(np.zeros((12, 12)), x, 0.0, pitch=1.0, index=i)
+                 for i, x in enumerate((-3.5, 0.0, 2.5))]
+        # crop_margins moves each origin by 1 px: -2.5, 1.0, 3.5 round to -3, 1, 4
+        assert plan_layout(tiles, 1).offsets == [(0, 0), (4, 0), (7, 0)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stitch_stage_blends_each_section_by_its_own_layout(tmp_path, threads, monkeypatch):
+    """A stack whose sections alternate between two L-shaped layouts of one extent: each
+    mosaic the stitch stage assembles has the bits of the old formula on its tiles."""
+    rng = np.random.default_rng(10)
+    shapes = ([(0, 0), (14, 0), (0, 14)], [(0, 0), (14, 0), (14, 14)])
+    (tmp_path / "tiles").mkdir()
+    for z in range(5):
+        for i, (x, y) in enumerate(shapes[z % 2]):
+            tile = tile_at(rng.integers(0, 65536, (24, 24)), x, y, z * 50.0, pitch=1.0,
+                           index=i, channel="CB")
+            write_tile(tile, tmp_path / "tiles" / f"z{z}_j{i}_CB.pgm")
+    assemble, checked = cli.stitch.assemble_slice, []
+
+    def checked_assemble(tiles, **kwargs):
+        out = assemble(tiles, **kwargs)
+        checked.append(out.tobytes() == old_assemble_slice(tiles, kwargs["margin"]).tobytes())
+        return out
+
+    monkeypatch.setattr(cli.stitch, "assemble_slice", checked_assemble)
+    cfg = cli.PipelineConfig(dict(tiles=tmp_path / "tiles", out=tmp_path / "run", margin=2,
+                                  flatfield="none", threads=threads))
+    (tmp_path / "run").mkdir()
+    cli.stitch_tiles(cfg, cfg.tiles, tmp_path / "run")
+    assert checked == [True] * 5
