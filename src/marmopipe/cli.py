@@ -3,12 +3,13 @@
 The pipeline runs stage (a) flat-field + stitching, (b) injection-site
 localization, (c) tracer segmentation, (d) mapping to reference space and
 (e) connectivity, entirely file-driven: each stage reads and writes files in
-the run directory, is skipped only when its outputs exist, no stage it needs
-ran and its key in ``stages.json`` is unchanged, and appends a
-``stage=... status=... seconds=... hash=...`` line.  The key is a sha256 of the
-stage's config values in canonical form (the ``repr`` of each typed value, so
-``1.1`` and ``1.10`` are one key), the size and mtime of the files they name
-(each tile's PGM and ``.meta`` sidecar), and the keys of the stages it needs.
+the run directory, is skipped only when its outputs exist and its key is the one
+``stages.json`` records, and appends a ``stage=... status=... seconds=... hash=...``
+line.  The key is a sha256 of the stage's config values in canonical form (the
+``repr`` of each typed value, so ``1.1`` and ``1.10`` are one key), the size and
+mtime of the files they name (each tile's PGM and ``.meta`` sidecar), and the
+recorded sha256 of each run-dir file it reads, so a stage rerun to the same bytes
+reruns no stage after it.  ``stages.json`` is ``{stage: {"key", "outputs": {file: sha256}}}``.
 
 All five stages stream: they hold one section per thread, never a whole
 high-resolution volume, and append each output slice to its stack as it is made.
@@ -237,22 +238,26 @@ def _imap(fn, items, threads: int):
                 future.cancel()
 
 
-def _hash_files(paths) -> str:
-    digest = hashlib.sha256()
-    for p in sorted(str(p) for p in paths):
+def _hash_files(paths) -> dict[str, str]:
+    """The sha256 of each file, by file name; each file is read once."""
+    hashes = {}
+    for p in map(Path, paths):
+        digest = hashlib.sha256()
         with open(p, "rb") as f:
             while chunk := f.read(1 << 20):
                 digest.update(chunk)
-    return digest.hexdigest()[:12]
+        hashes[p.name] = digest.hexdigest()
+    return hashes
 
 
 @dataclass
 class RunReport:
     lines: list = dc_field(default_factory=list)
-    ran: set = dc_field(default_factory=set)  # stages whose body ran in this invocation
 
-    def add(self, stage: str, status: str, seconds: float, outputs=()):
-        extra = f" hash={_hash_files(outputs)}" if outputs else ""
+    def add(self, stage: str, status: str, seconds: float, hashes=None):
+        """``hash=`` digests ``hashes``, the stage's recorded ``{file: sha256}``."""
+        digest = hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest()
+        extra = f" hash={digest[:12]}" if hashes else ""
         self.lines.append(f"stage={stage} status={status} seconds={seconds:.3f}{extra}")
 
     def text(self) -> str:
@@ -264,8 +269,8 @@ def _stacks(*prefixes) -> tuple[str, ...]:
 
 
 # One pipeline stage: body(cfg, out) writes the files named in `outputs` into the run
-# directory `out` from the outputs of the stages it `needs` and the config keys in `params`.
-Stage = collections.namedtuple("Stage", "name needs params outputs body")
+# directory `out` from the config keys in `params` and the earlier outputs `reads(cfg)`.
+Stage = collections.namedtuple("Stage", "name reads params outputs body")
 
 
 def _param_files(key: str, value) -> list[Path]:
@@ -283,11 +288,12 @@ def _param_files(key: str, value) -> list[Path]:
 
 
 def _stage_key(stage: Stage, cfg: PipelineConfig, stored: dict) -> str:
-    """The stage's key; files are stat'ed, not read (tiles are large).  ``stored`` holds
-    the keys of the stages it needs, which ran or were skipped just before."""
+    """The stage's key: its config values, the size and mtime of the files they name
+    (not read: tiles are large), and the sha256 ``stored`` records for each file it reads."""
+    recorded = {name: h for record in stored.values() for name, h in record["outputs"].items()}
     digest = hashlib.sha256()
-    for name in stage.needs:
-        digest.update(f"{name}:{stored[name]}\n".encode())
+    for name in stage.reads(cfg):
+        digest.update(f"{name}:{recorded.get(name)}\n".encode())
     for key in stage.params:
         value = cfg.values[key]
         digest.update(f"{key}={value!r}\n".encode())
@@ -296,29 +302,31 @@ def _stage_key(stage: Stage, cfg: PipelineConfig, stored: dict) -> str:
     return digest.hexdigest()
 
 
-def _save_keys(out: Path, keys: dict) -> None:
-    (out / "stages.json").write_text(json.dumps(keys, indent=1, sort_keys=True) + "\n")
+def _save_records(out: Path, stored: dict) -> None:
+    (out / "stages.json").write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
 
 
 def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
-    """Run or skip one stage in ``cfg.out`` and add its line to ``report``.  The key
-    and the stage's outputs are removed before the body runs, and the key is stored
-    after it returns, so a failed or killed stage always reruns and leaves no output
-    of an earlier run behind.  The outputs of the stages after it stay."""
+    """Run or skip one stage in ``cfg.out`` and add its line to ``report``.  Its record
+    and outputs are removed before the body runs, and its key and output hashes are
+    recorded after it returns, so a failed or killed stage always reruns and leaves
+    no output of an earlier run behind.  The outputs of the stages after it stay.  A
+    ``stages.json`` that is missing or of another form (an older ``{stage: key}``)
+    counts as empty."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / name for name in stage.outputs]
     try:
-        stored = json.loads((out / "stages.json").read_text())
-    except (OSError, ValueError):
+        stored = {name: {"key": str(r["key"]), "outputs": dict(r["outputs"])}
+                  for name, r in json.loads((out / "stages.json").read_text()).items()}
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
         stored = {}
     key = _stage_key(stage, cfg, stored)
-    if (all(p.exists() for p in outputs) and report.ran.isdisjoint(stage.needs)
-            and stored.get(stage.name) == key):
-        report.add(stage.name, "skip", 0.0)
+    record = stored.pop(stage.name, {})
+    if record.get("key") == key and all(p.exists() for p in outputs):
+        report.add(stage.name, "skip", 0.0, record["outputs"])
         return
-    stored.pop(stage.name, None)
-    _save_keys(out, stored)
+    _save_records(out, stored)
     for p in outputs:
         p.unlink(missing_ok=True)
     t0 = time.time()
@@ -329,10 +337,10 @@ def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
         if isinstance(exc, ConfigError):
             raise
         raise RuntimeError(f"stage {stage.name} failed: {exc}") from exc
-    report.ran.add(stage.name)
-    stored[stage.name] = key
-    _save_keys(out, stored)
-    report.add(stage.name, "ok", time.time() - t0, outputs)
+    seconds = time.time() - t0
+    stored[stage.name] = {"key": key, "outputs": _hash_files(outputs)}
+    _save_records(out, stored)
+    report.add(stage.name, "ok", seconds, stored[stage.name]["outputs"])
 
 
 # ---------------------------------------------------------------------------
@@ -560,25 +568,26 @@ def connectivity_table(cfg: PipelineConfig, signal_stack, mask_stack, cells, out
 
 
 STAGE_TABLE = [
-    Stage("stitch", (),
+    Stage("stitch", lambda cfg: (),
           ("tiles", "flatfield", "ff_lower", "ff_upper", "margin", "low_voxel_um"),
           _stacks(*(f"{res}_{ch}" for ch in imgcore.CHANNELS for res in ("high", "low")))
           + ("layout.txt",),
           lambda cfg, out: stitch_tiles(cfg, cfg.tiles, out)),
-    Stage("locate", ("stitch",),
+    Stage("locate", lambda cfg: _stacks("low_CB", "high_CB"),
           ("traw", "sigma_um", "cell_backend", "cell_model", "thigh", "hessian_sigmas",
            "hessian_cutoff", "roi_pad"),
           _stacks("inj_mask") + ("cells.txt",),
           lambda cfg, out: locate_injection(cfg, out / "low_CB", out / "high_CB", out)),
-    Stage("tracer", ("stitch",),
+    Stage("tracer", lambda cfg: _stacks("high_CG", "high_CR"),
           ("tracer_backend", "tracer_model", "t", "hi", "lo", "close", "theta"),
           _stacks("tracer_L", "tracer_mask"),
           lambda cfg, out: segment_tracer(cfg, out / "high_CG", out / "high_CR", out)),
-    Stage("map", ("locate", "tracer"), ("field",),
+    Stage("map", lambda cfg: _stacks("tracer_L", "inj_mask"), ("field",),
           _stacks("mapped_L", "mapped_mask"),
           lambda cfg, out: map_stacks(cfg, [(out / "tracer_L", "linear", out / "mapped_L"),
                                             (out / "inj_mask", "nearest", out / "mapped_mask")])),
-    Stage("connectivity", ("locate", "map"),
+    Stage("connectivity", lambda cfg: _stacks("mapped_L") + (
+              _stacks("mapped_mask") if cfg.sources == "mask" else ("cells.txt",)),
           ("atlas", "atlas_low", "sources", "normalize", "brain_id", "injection_id"),
           ("connectivity.txt",),
           lambda cfg, out: connectivity_table(cfg, out / "mapped_L", out / "mapped_mask",

@@ -181,17 +181,12 @@ def detect_cells(saliency, t_high: float = 0.5) -> CellPointCloud:
         vol = np.asarray(saliency, dtype=np.float64)
     if vol.ndim == 2:
         vol = vol[None]
-    points, scores = [], []
+    points, scores = [np.empty((0, 3), np.int64)], [np.empty(0)]
     for z in range(vol.shape[0]):
-        hits = _slice_maxima(vol[z], t_high)
-        ys, xs = np.nonzero(hits)
-        for y, x in zip(ys, xs):
-            points.append((int(x), int(y), z))
-            scores.append(float(vol[z, y, x]))
-    return CellPointCloud(
-        points=np.array(points, dtype=np.int64).reshape(-1, 3),
-        scores=np.array(scores, dtype=np.float64),
-    )
+        ys, xs = np.nonzero(_slice_maxima(vol[z], t_high))
+        points.append(np.column_stack([xs, ys, np.full_like(xs, z)]))
+        scores.append(vol[z, ys, xs])
+    return CellPointCloud(points=np.concatenate(points), scores=np.concatenate(scores))
 
 
 @dataclass

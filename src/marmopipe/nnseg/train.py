@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imgcore import gaussian_blur
+from .layers import center_crop
 from .loss import weighted_logistic_loss
 from .unet import UNet, UNetParams
 
@@ -46,14 +47,6 @@ class TrainingSample:
             raise ValueError("weights must be nonnegative")
 
 
-def _crop_center(grid: np.ndarray, height: int, width: int) -> np.ndarray:
-    y0 = (grid.shape[0] - height) // 2
-    x0 = (grid.shape[1] - width) // 2
-    if y0 < 0 or x0 < 0:
-        raise ValueError(f"grid {grid.shape} smaller than output {height}x{width}")
-    return grid[y0:y0 + height, x0:x0 + width]
-
-
 def train(
     net: UNetParams,
     samples: list[TrainingSample],
@@ -81,8 +74,8 @@ def train(
         sample = samples[order[step % len(samples)]]
         pred = model.forward(sample.input)
         ho, wo = pred.shape[1], pred.shape[2]
-        label = _crop_center(sample.label, ho, wo)
-        weight = _crop_center(sample.weight, ho, wo)
+        label = center_crop(sample.label[None], ho, wo)[0]
+        weight = center_crop(sample.weight[None], ho, wo)[0]
         loss, dlogits = weighted_logistic_loss(pred[0], label, weight)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)

@@ -1,4 +1,7 @@
+import builtins
 import collections
+import functools
+import io
 import json
 import os
 import re
@@ -166,21 +169,15 @@ class TestPipeline:
         assert sum("status=skip" in ln for ln in lines) == 4
 
     def test_dependent_stages_cascade(self, tmp_path):
+        """A deleted ``tracer_L.raw`` reruns tracer, which writes the same bytes, so the
+        stages that read them are skipped (early cutoff)."""
         spec = small_spec(n_cells=4, n_axons=1)
         write_phantom(tmp_path, spec)
         cfg = pipeline_config(tmp_path, tmp_path / "truth")
         run_pipeline(cfg)
         (tmp_path / "run" / "tracer_L.raw").unlink()
         report = run_pipeline(cfg)
-        status = dict(
-            line.split()[0].split("=")[1:] + line.split()[1].split("=")[1:]
-            for line in report.text().splitlines()
-        )
-        assert status["stitch"] == "skip"
-        assert status["locate"] == "skip"
-        assert status["tracer"] == "ok"
-        assert status["map"] == "ok"
-        assert status["connectivity"] == "ok"
+        assert stage_status(report) == dict(STAGES_SKIPPED, tracer="ok")
 
     def test_threads_do_not_change_outputs(self, tmp_path):
         spec = small_spec()
@@ -204,11 +201,10 @@ class TestPipeline:
 
     @pytest.mark.parametrize("change, rerun", [
         pytest.param(dict(hi=5000, lo=4000), {"tracer", "map", "connectivity"}, id="hi_lo"),
-        pytest.param(dict(hessian_cutoff=100), {"locate", "map", "connectivity"}, id="cutoff"),
+        pytest.param(dict(hessian_cutoff=100), {"locate"}, id="cutoff"),
         pytest.param(dict(normalize=1), {"connectivity"}, id="normalize"),
         pytest.param("truth/atlas_high.raw", {"connectivity"}, id="atlas_mtime"),
-        pytest.param("tiles/*.meta", {"stitch", "locate", "tracer", "map", "connectivity"},
-                     id="sidecar_mtime"),
+        pytest.param("tiles/*.meta", {"stitch"}, id="sidecar_mtime"),
         pytest.param(dict(threads=3), set(), id="threads"),
         pytest.param(dict(t="1.10", hessian_sigmas="2, 3,4,5"), set(), id="spelling"),
     ])
@@ -225,6 +221,54 @@ class TestPipeline:
             name: "ok" if name in rerun else "skip"
             for name in ("stitch", "locate", "tracer", "map", "connectivity")
         }
+
+    def test_removed_layout_reruns_only_stitch(self, tmp_path):
+        """A run dir without ``layout.txt`` reruns stitch, whose stacks come out the same."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        cfg = pipeline_config(tmp_path, tmp_path / "truth")
+        run_pipeline(cfg)
+        layout = (tmp_path / "run" / "layout.txt").read_text()
+        (tmp_path / "run" / "layout.txt").unlink()
+        assert stage_status(run_pipeline(cfg)) == dict(STAGES_SKIPPED, stitch="ok")
+        assert (tmp_path / "run" / "layout.txt").read_text() == layout
+
+    def test_cutoff_with_cell_sources_reruns_locate_and_connectivity(self, tmp_path):
+        """With ``sources=cells`` connectivity reads ``cells.txt``, which a new
+        ``hessian_cutoff`` changes; map reads neither and is skipped."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", sources="cells"))
+        cells = (tmp_path / "run" / "cells.txt").read_text()
+        report = run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", sources="cells",
+                                              hessian_cutoff=100))
+        assert (tmp_path / "run" / "cells.txt").read_text() != cells
+        assert stage_status(report) == dict(STAGES_SKIPPED, locate="ok", connectivity="ok")
+
+    def test_old_stage_keys_count_as_no_record(self, tmp_path):
+        """A ``stages.json`` of the older ``{stage: key}`` form reruns every stage once."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        cfg = pipeline_config(tmp_path, tmp_path / "truth")
+        run_pipeline(cfg)
+        stages = tmp_path / "run" / "stages.json"
+        records = json.loads(stages.read_text())
+        stages.write_text(json.dumps({name: r["key"] for name, r in records.items()}))
+        assert set(stage_status(run_pipeline(cfg)).values()) == {"ok"}
+        assert json.loads(stages.read_text()) == records
+        assert set(stage_status(run_pipeline(cfg)).values()) == {"skip"}
+
+    def test_skip_line_carries_the_recorded_hash(self, tmp_path):
+        """A skipped stage reports the ``hash=`` its run did, taken from the output
+        hashes that ``stages.json`` records, which are those of the files on disk."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        cfg = pipeline_config(tmp_path, tmp_path / "truth")
+        ran = run_pipeline(cfg).lines
+        skipped = run_pipeline(cfg).lines
+        run = tmp_path / "run"
+        records = json.loads((run / "stages.json").read_text())
+        for stage, ok, skip in zip(cli.STAGE_TABLE, ran, skipped):
+            assert skip.startswith(f"stage={stage.name} status=skip seconds=0.000 hash=")
+            assert skip.split()[-1] == ok.split()[-1]
+            assert records[stage.name]["outputs"] == cli._hash_files(
+                run / name for name in stage.outputs)
 
     def test_killed_stage_reruns(self, tmp_path, monkeypatch):
         write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
@@ -305,6 +349,9 @@ class TestPipeline:
         tiles = spec.grid_x * spec.grid_y * spec.n_sections
         assert calls == {"assemble_slice": 3 * spec.n_sections, "estimate_shading": 2,
                          "correct_tile": 2 * tiles}
+
+
+STAGES_SKIPPED = dict.fromkeys(("stitch", "locate", "tracer", "map", "connectivity"), "skip")
 
 
 def stage_status(report) -> dict:
@@ -765,6 +812,59 @@ class TestWholeVolumeReads:
         assert run_pipeline(cfg).text().count("status=ok") == 5
         assert ("low_CB", cfg.low_voxel_um) in read
         assert [name for name, voxel in read if voxel != cfg.low_voxel_um] == []
+
+
+class TestStageReads:
+    """Each row of the stage table declares the run-dir files its body reads.  A read it
+    left out would be missing from the stage's key, so after a change to that file the
+    stage's stale outputs would silently be reused."""
+
+    @pytest.mark.parametrize("sources", ["mask", "cells"])
+    @pytest.mark.parametrize("field", ["identity", "warp"])
+    def test_stage_opens_only_declared_run_dir_files(self, tmp_path, monkeypatch, field,
+                                                     sources):
+        _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        overrides = dict(sources=sources)
+        if field == "warp":
+            save_warp(truth, tmp_path / "field")
+            overrides.update(field=tmp_path / "field", atlas_low="")
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", **overrides)
+        run, current = tmp_path / "run", [None]
+        opened = collections.defaultdict(lambda: {"read": set(), "write": set()})
+
+        def recorded(open_file):
+            def record(file, mode="r", *args, **kwargs):
+                if current[0] and isinstance(file, (str, os.PathLike)) \
+                        and Path(file).parent == run:
+                    use = "write" if set(mode) & set("wax+") else "read"
+                    opened[current[0]][use].add(Path(file).name)
+                return open_file(file, mode, *args, **kwargs)
+            return record
+
+        def traced(stage):
+            def body(cfg, out):
+                current[0] = stage.name
+                try:
+                    return stage.body(cfg, out)
+                finally:
+                    current[0] = None
+            return stage._replace(body=body)
+
+        monkeypatch.setattr(builtins, "open", recorded(builtins.open))
+        monkeypatch.setattr(io, "open", recorded(io.open))
+        monkeypatch.setattr(cli, "_STAGES", [
+            (stage.name, functools.partial(cli._run_stage, traced(stage)))
+            for stage in cli.STAGE_TABLE])
+        assert run_pipeline(cfg).text().count("status=ok") == 5
+        monkeypatch.undo()
+        earlier = set()
+        for stage in cli.STAGE_TABLE:
+            reads = set(stage.reads(cfg))
+            assert opened[stage.name]["read"] <= reads, stage.name
+            assert opened[stage.name]["write"] <= set(stage.outputs), stage.name
+            assert reads <= earlier, stage.name
+            earlier |= set(stage.outputs)
+        assert all(opened[stage.name]["read"] for stage in cli.STAGE_TABLE[1:])
 
 
 class TestStreamedFailures:
