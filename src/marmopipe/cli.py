@@ -6,10 +6,10 @@ localization, (c) tracer segmentation, (d) mapping to reference space and
 the run directory, is skipped only when its outputs exist and its key is the one
 ``stages.json`` records, and appends a ``stage=... status=... seconds=... hash=...``
 line.  The key is a sha256 of the stage's config values in canonical form (the
-``repr`` of each typed value, so ``1.1`` and ``1.10`` are one key), the size and
-mtime of the files they name (each tile's PGM and ``.meta`` sidecar), and the
-recorded sha256 of each run-dir file it reads, so a stage rerun to the same bytes
-reruns no stage after it.  ``stages.json`` is ``{stage: {"key", "outputs": {file: sha256}}}``.
+``repr`` of each typed value, so ``1.1`` and ``1.10`` are one key; a key that only
+the backend not chosen reads is left out), the size and mtime of the files they
+name (each tile's PGM and ``.meta`` sidecar), and the recorded sha256 of each
+run-dir file it reads, so a stage rerun to the same bytes reruns no stage after it.  ``stages.json`` is ``{stage: {"key", "outputs": {file: sha256}}}``.
 
 All five stages stream: they hold one section per thread, never a whole
 high-resolution volume, and append each output slice to its stack as it is made.
@@ -50,6 +50,8 @@ class ConfigError(ValueError):
 # configuration: one Param row per key, read by config files, validation, stage keys
 # and stage subcommand flags.  ``type`` parses a config string, or a value already of
 # the type; ``check(value)`` says what is wrong with a typed value, or returns None.
+# ``when=(backend key, value)`` marks a key that only that backend reads; stage keys
+# leave it out under the other backend.
 # ---------------------------------------------------------------------------
 
 
@@ -59,7 +61,7 @@ def numbers(value) -> tuple[float, ...]:
     return tuple(float(v) for v in items if str(v).strip())
 
 
-Param = collections.namedtuple("Param", "name type default check", defaults=(None,))
+Param = collections.namedtuple("Param", "name type default check when", defaults=(None, None))
 
 
 def _check(ok, expected: str):
@@ -74,6 +76,8 @@ _POSITIVE = _check(lambda v: v > 0, "a value > 0")
 _FRACTION = _check(lambda v: 0 <= v <= 1, "a value in [0, 1]")
 _STACK = _check(lambda v: not v or Path(v + ".hdr").exists(), "a stack prefix")
 _MODEL = _check(lambda v: not v or Path(v + ".manifest").exists(), "a model prefix")
+_HESSIAN, _UNET_CELLS = ("cell_backend", "hessian"), ("cell_backend", "unet")
+_THRESHOLD, _UNET_TRACER = ("tracer_backend", "threshold"), ("tracer_backend", "unet")
 
 PARAMS = {p.name: p for p in (
     Param("tiles", str, "", _check(lambda v: not v or Path(v).is_dir(), "a tile directory")),
@@ -89,20 +93,20 @@ PARAMS = {p.name: p for p in (
     Param("low_voxel_um", float, 50.0, _POSITIVE),
     Param("traw", float, 4500.0),
     Param("sigma_um", float, 150.0, _POSITIVE),
-    Param("thigh", float, 0.5, _FRACTION),
+    Param("thigh", float, 0.5, _FRACTION, when=_UNET_CELLS),
     Param("cell_backend", str, "hessian", _one_of("hessian", "unet")),
-    Param("cell_model", str, "", _MODEL),
+    Param("cell_model", str, "", _MODEL, when=_UNET_CELLS),
     Param("hessian_sigmas", numbers, (2.0, 3.0, 4.0, 5.0),
-          _check(lambda v: v and min(v) > 0, "comma-separated numbers > 0")),
-    Param("hessian_cutoff", float, 0.0),
+          _check(lambda v: v and min(v) > 0, "comma-separated numbers > 0"), when=_HESSIAN),
+    Param("hessian_cutoff", float, 0.0, when=_HESSIAN),
     Param("roi_pad", int, 8, _check(lambda v: v >= 0, "an integer >= 0")),
     Param("tracer_backend", str, "threshold", _one_of("threshold", "unet")),
-    Param("tracer_model", str, "", _MODEL),
+    Param("tracer_model", str, "", _MODEL, when=_UNET_TRACER),
     Param("t", float, 1.1, _POSITIVE),
-    Param("hi", float, 300.0),
-    Param("lo", float, 100.0, _POSITIVE),
-    Param("close", int, 3, _check(lambda v: v >= 1, "an integer >= 1")),
-    Param("theta", float, 0.5, _FRACTION),
+    Param("hi", float, 300.0, when=_THRESHOLD),
+    Param("lo", float, 100.0, _POSITIVE, when=_THRESHOLD),
+    Param("close", int, 3, _check(lambda v: v >= 1, "an integer >= 1"), when=_THRESHOLD),
+    Param("theta", float, 0.5, _FRACTION, when=_UNET_TRACER),
     Param("field", str, "identity", _check(
         lambda v: v == "identity" or Path(v + "_dx.hdr").exists(),
         "identity or a field prefix")),
@@ -268,9 +272,16 @@ def _stacks(*prefixes) -> tuple[str, ...]:
     return tuple(f"{p}{ext}" for p in prefixes for ext in (".hdr", ".raw"))
 
 
-# One pipeline stage: body(cfg, out) writes the files named in `outputs` into the run
-# directory `out` from the config keys in `params` and the earlier outputs `reads(cfg)`.
+# One pipeline stage: body(cfg, out) writes the files named in `outputs(cfg)` into the
+# run directory `out` from the config keys in `params` and the earlier outputs `reads(cfg)`.
 Stage = collections.namedtuple("Stage", "name reads params outputs body")
+
+
+def _keyed_params(stage: Stage, cfg: PipelineConfig) -> list[str]:
+    """The stage's params that its key holds under ``cfg``: all but those that only
+    the backend ``cfg`` does not choose reads."""
+    whens = {key: PARAMS[key].when for key in stage.params}
+    return [key for key, when in whens.items() if not when or cfg.values[when[0]] == when[1]]
 
 
 def _param_files(key: str, value) -> list[Path]:
@@ -294,7 +305,7 @@ def _stage_key(stage: Stage, cfg: PipelineConfig, stored: dict) -> str:
     digest = hashlib.sha256()
     for name in stage.reads(cfg):
         digest.update(f"{name}:{recorded.get(name)}\n".encode())
-    for key in stage.params:
+    for key in _keyed_params(stage, cfg):
         value = cfg.values[key]
         digest.update(f"{key}={value!r}\n".encode())
         for p in filter(Path.exists, _param_files(key, value)):
@@ -307,15 +318,15 @@ def _save_records(out: Path, stored: dict) -> None:
 
 
 def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
-    """Run or skip one stage in ``cfg.out`` and add its line to ``report``.  Its record
-    and outputs are removed before the body runs, and its key and output hashes are
-    recorded after it returns, so a failed or killed stage always reruns and leaves
-    no output of an earlier run behind.  The outputs of the stages after it stay.  A
-    ``stages.json`` that is missing or of another form (an older ``{stage: key}``)
-    counts as empty."""
+    """Run or skip one stage in ``cfg.out`` and add its line to ``report``.  Its outputs,
+    those its record names (an earlier config's) too, and then its record are removed
+    before the body runs, and its key and output hashes are recorded after it returns,
+    so a failed or killed stage always reruns and leaves no output of an earlier run
+    behind.  The outputs of the stages after it stay.  A ``stages.json`` that is missing
+    or of another form (an older ``{stage: key}``) counts as empty."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = [out / name for name in stage.outputs]
+    outputs = [out / name for name in stage.outputs(cfg)]
     try:
         stored = {name: {"key": str(r["key"]), "outputs": dict(r["outputs"])}
                   for name, r in json.loads((out / "stages.json").read_text()).items()}
@@ -326,9 +337,9 @@ def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
     if record.get("key") == key and all(p.exists() for p in outputs):
         report.add(stage.name, "skip", 0.0, record["outputs"])
         return
-    _save_records(out, stored)
-    for p in outputs:
+    for p in {*outputs, *(out / name for name in record.get("outputs", ()))}:
         p.unlink(missing_ok=True)
+    _save_records(out, stored)
     t0 = time.time()
     try:
         stage.body(cfg, out)
@@ -418,7 +429,8 @@ def stitch_tiles(cfg: PipelineConfig, tile_dir, out: Path) -> None:
             continue
         if mode == "estimate":
             fields[ch] = _estimate_field(index[ch], cfg.ff_lower, cfg.ff_upper)
-            imgcore.write_stack(flatfield.field_to_stack(fields[ch]), out / f"field_{ch}")
+            imgcore.write_stack(flatfield.field_to_stack(fields[ch], index[ch][0].pixel_pitch),
+                                out / f"field_{ch}")
         else:
             fields[ch] = flatfield.field_from_stack(imgcore.read_stack(f"{mode}_{ch}"))
 
@@ -567,29 +579,36 @@ def connectivity_table(cfg: PipelineConfig, signal_stack, mask_stack, cells, out
     table.save(out_path)
 
 
+def _stitch_outputs(cfg: PipelineConfig) -> tuple[str, ...]:
+    """Every channel's high and low stacks, the layout and, when the stage estimates
+    them, the shading fields."""
+    fields = ("field_CR", "field_CG") if cfg.flatfield == "estimate" else ()
+    stacks = (f"{res}_{ch}" for ch in imgcore.CHANNELS for res in ("high", "low"))
+    return _stacks(*stacks, *fields) + ("layout.txt",)
+
+
 STAGE_TABLE = [
     Stage("stitch", lambda cfg: (),
           ("tiles", "flatfield", "ff_lower", "ff_upper", "margin", "low_voxel_um"),
-          _stacks(*(f"{res}_{ch}" for ch in imgcore.CHANNELS for res in ("high", "low")))
-          + ("layout.txt",),
+          _stitch_outputs,
           lambda cfg, out: stitch_tiles(cfg, cfg.tiles, out)),
     Stage("locate", lambda cfg: _stacks("low_CB", "high_CB"),
           ("traw", "sigma_um", "cell_backend", "cell_model", "thigh", "hessian_sigmas",
            "hessian_cutoff", "roi_pad"),
-          _stacks("inj_mask") + ("cells.txt",),
+          lambda cfg: _stacks("inj_mask") + ("cells.txt",),
           lambda cfg, out: locate_injection(cfg, out / "low_CB", out / "high_CB", out)),
     Stage("tracer", lambda cfg: _stacks("high_CG", "high_CR"),
           ("tracer_backend", "tracer_model", "t", "hi", "lo", "close", "theta"),
-          _stacks("tracer_L", "tracer_mask"),
+          lambda cfg: _stacks("tracer_L", "tracer_mask"),
           lambda cfg, out: segment_tracer(cfg, out / "high_CG", out / "high_CR", out)),
     Stage("map", lambda cfg: _stacks("tracer_L", "inj_mask"), ("field",),
-          _stacks("mapped_L", "mapped_mask"),
+          lambda cfg: _stacks("mapped_L", "mapped_mask"),
           lambda cfg, out: map_stacks(cfg, [(out / "tracer_L", "linear", out / "mapped_L"),
                                             (out / "inj_mask", "nearest", out / "mapped_mask")])),
     Stage("connectivity", lambda cfg: _stacks("mapped_L") + (
               _stacks("mapped_mask") if cfg.sources == "mask" else ("cells.txt",)),
           ("atlas", "atlas_low", "sources", "normalize", "brain_id", "injection_id"),
-          ("connectivity.txt",),
+          lambda cfg: ("connectivity.txt",),
           lambda cfg, out: connectivity_table(cfg, out / "mapped_L", out / "mapped_mask",
                                               out / "cells.txt", out / "connectivity.txt")),
 ]
@@ -714,8 +733,7 @@ def _cmd_eval(args) -> int:
         pred = injsite.CellPointCloud.load(cells_path)
         truth = injsite.CellPointCloud.load(truth_cells)
         m = evalsynth.match_detections(pred, truth.points, radius_px=args.radius)
-        f1 = 2 * m.tp / (2 * m.tp + m.fp + m.fn) if (m.tp + m.fp + m.fn) else 1.0
-        lines.append(f"cells tp={m.tp} fp={m.fp} fn={m.fn} f1={f1:.4f}")
+        lines.append(f"cells tp={m.tp} fp={m.fp} fn={m.fn} f1={m.f1:.4f}")
     mask_path = run_dir / "tracer_mask"
     truth_mask = truth_dir / "tracer_mask"
     if mask_path.with_suffix(".hdr").exists() and truth_mask.with_suffix(".hdr").exists():

@@ -13,8 +13,8 @@ from the same integer scenes:
   (per-voxel block averaging, dense kernel convolution, BFS flood fill) that
   shares no code with the production pipeline; the ``reference_*`` functions
   are also the test oracles for ``downsample_stack``, ``gaussian_blur``,
-  ``largest_component`` and ``rough_localize``, so they must keep sharing no
-  code with production,
+  ``_cc.largest_component_mask`` and ``rough_localize``, so they must keep
+  sharing no code with production,
 * region tables are accumulated with per-region loops over the truth grids.
 
 Structures are kept disjoint by construction (vessels are carved around
@@ -634,7 +634,12 @@ class MatchResult:
     tp: int
     fp: int
     fn: int
-    pairs: list
+
+    @property
+    def f1(self) -> float:
+        """Detection F1; no detections and no truth scores 1."""
+        total = 2 * self.tp + self.fp + self.fn
+        return 2 * self.tp / total if total else 1.0
 
 
 def match_detections(pred: CellPointCloud, truth_points: np.ndarray, radius_px: float) -> MatchResult:
@@ -650,7 +655,7 @@ def match_detections(pred: CellPointCloud, truth_points: np.ndarray, radius_px: 
     truth_points = np.asarray(truth_points, dtype=np.int64).reshape(-1, 3)
     used = np.zeros(len(truth_points), dtype=bool)
     order = np.lexsort((np.arange(len(pred)), -pred.scores))
-    pairs = []
+    tp = 0
     for i in order:
         x, y, z = pred.points[i]
         same_z = np.nonzero((truth_points[:, 2] == z) & ~used)[0]
@@ -659,11 +664,9 @@ def match_detections(pred: CellPointCloud, truth_points: np.ndarray, radius_px: 
         d2 = (truth_points[same_z, 0] - x) ** 2 + (truth_points[same_z, 1] - y) ** 2
         best = int(np.argmin(d2))
         if d2[best] <= radius_px ** 2:
-            j = int(same_z[best])
-            used[j] = True
-            pairs.append((int(i), j))
-    tp = len(pairs)
-    return MatchResult(tp=tp, fp=len(pred) - tp, fn=len(truth_points) - tp, pairs=pairs)
+            used[same_z[best]] = True
+            tp += 1
+    return MatchResult(tp=tp, fp=len(pred) - tp, fn=len(truth_points) - tp)
 
 
 def precision_recall_curve(pred: CellPointCloud, truth_points: np.ndarray, radius_px: float, thresholds):
@@ -788,5 +791,4 @@ def evaluate_hessian(slices: np.ndarray, centers: list, sigmas, threshold: float
     responses = np.stack([hessian_cell_filter(s, sigmas) for s in slices])
     cloud = detect_cells(responses, t_high=threshold)
     m = match_detections(cloud, truth, radius_px)
-    f1 = 2 * m.tp / (2 * m.tp + m.fp + m.fn) if (2 * m.tp + m.fp + m.fn) else 1.0
-    return f1, m
+    return m.f1, m

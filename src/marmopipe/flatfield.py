@@ -41,7 +41,7 @@ class ShadingField:
 
 
 def estimate_shading(tiles, lower_cut: float = 2.0, upper_cut: float = 2500.0) -> ShadingField:
-    """Estimate the shading field from a stream of tiles.
+    """Estimate the shading field of one channel from a stream of ``Tile2D``.
 
     Per pixel, values outside [lower_cut, upper_cut] are treated as outliers
     (dark pixels carry no information, bright ones are most likely tracer
@@ -62,8 +62,7 @@ def estimate_shading(tiles, lower_cut: float = 2.0, upper_cut: float = 2500.0) -
     extent = None
     n_tiles = 0
     for tile in tiles:
-        pix = tile.pixels if isinstance(tile, Tile2D) else np.asarray(tile, dtype=np.float64)
-        ch = tile.channel if isinstance(tile, Tile2D) else "NONE"
+        pix, ch = tile.pixels, tile.channel
         if sums is None:
             extent = pix.shape
             channel = ch
@@ -115,8 +114,9 @@ def correct_tile(tile: Tile2D, field: ShadingField) -> Tile2D:
     )
 
 
-def field_to_stack(field: ShadingField, pitch_um: float = 1.34) -> Stack3D:
-    """Pack a shading field as a one-slice f32 stack for persistence."""
+def field_to_stack(field: ShadingField, pitch_um: float) -> Stack3D:
+    """Pack a shading field as a one-slice f32 stack for persistence; ``pitch_um`` is
+    the pixel pitch of the tiles it was estimated from."""
     return Stack3D(
         data=field.values[None, :, :],
         voxel_size=(pitch_um, pitch_um, 1.0),

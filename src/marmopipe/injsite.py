@@ -2,9 +2,10 @@
 
 Two stages: a rough volume estimate on the low-resolution injection-site
 channel (threshold, Gaussian smoothing of the binary volume, relative
-re-threshold at half the maximum, largest connected component), and precise
-per-slice cell detection on the high-resolution stack from a saliency map
-(either the trained network or the hand-crafted Hessian blob filter).
+re-threshold at half the maximum, largest connected component by
+``_cc.largest_component_mask``), and precise per-slice cell detection on the
+high-resolution stack from a saliency map (either the trained network or the
+hand-crafted Hessian blob filter).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._cc import CONN_6_3D, largest_component_mask
-from .imgcore import SaliencyMap, Stack3D, gaussian_blur
+from .imgcore import Stack3D, gaussian_blur
 
 log = logging.getLogger(__name__)
 
@@ -72,21 +73,6 @@ class CellPointCloud:
                    scores=np.array(scores, dtype=np.float64))
 
 
-def largest_component(binary: Stack3D) -> Stack3D:
-    """Zero all but the largest connected component of a binary stack.
-
-    Only 6-connectivity is supported; ties are broken towards the component
-    with the smallest minimum linear index.  Empty input stays empty.
-    """
-    kept = largest_component_mask(binary.data > 0, CONN_6_3D)
-    return Stack3D(
-        data=kept.astype(np.float64),
-        voxel_size=binary.voxel_size,
-        channel=binary.channel,
-        dtype="u16",
-    )
-
-
 def rough_localize(low_cb: Stack3D, t_raw: float = 4500.0, sigma_um: float = 150.0) -> InjectionMask:
     """Rough injection-site mask from the low-resolution C_B stack.
 
@@ -110,13 +96,14 @@ def rough_localize(low_cb: Stack3D, t_raw: float = 4500.0, sigma_um: float = 150
     vx, vy, vz = low_cb.voxel_size
     smoothed = gaussian_blur(candidates, sigma_um, voxel_size=(vz, vy, vx))
     t_low = 0.5 * float(smoothed.max())
-    rough = Stack3D(
-        data=(smoothed > t_low).astype(np.float64),
+    kept = largest_component_mask(smoothed > t_low, CONN_6_3D)
+    mask = Stack3D(
+        data=kept.astype(np.float64),
         voxel_size=low_cb.voxel_size,
         channel=low_cb.channel,
         dtype="u16",
     )
-    return InjectionMask(mask=largest_component(rough), t_raw=t_raw, t_low=t_low)
+    return InjectionMask(mask=mask, t_raw=t_raw, t_low=t_low)
 
 
 def hessian_cell_filter(image: np.ndarray, sigmas) -> np.ndarray:
@@ -166,19 +153,14 @@ def _slice_maxima(sal: np.ndarray, threshold: float) -> np.ndarray:
     return strict & (sal > threshold)
 
 
-def detect_cells(saliency, t_high: float = 0.5) -> CellPointCloud:
+def detect_cells(saliency: np.ndarray, t_high: float = 0.5) -> CellPointCloud:
     """Per-slice strict local maxima above ``t_high``.
 
-    ``saliency`` is a (nz, ny, nx) array, a 2D slice, a SaliencyMap or a
-    Stack3D.  Detection is purely in-plane (8-neighbor); plateaus of exactly
-    equal values yield no detection.
+    ``saliency`` is a (nz, ny, nx) or a 2D (ny, nx) array; points are (x, y, z)
+    with z = 0 for a 2D slice.  Detection is purely in-plane (8-neighbor);
+    plateaus of exactly equal values yield no detection.
     """
-    if isinstance(saliency, Stack3D):
-        vol = saliency.data
-    elif isinstance(saliency, SaliencyMap):
-        vol = saliency.values
-    else:
-        vol = np.asarray(saliency, dtype=np.float64)
+    vol = np.asarray(saliency, dtype=np.float64)
     if vol.ndim == 2:
         vol = vol[None]
     points, scores = [np.empty((0, 3), np.int64)], [np.empty(0)]

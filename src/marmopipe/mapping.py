@@ -65,13 +65,6 @@ class DisplacementField:
         return self.disp.shape[1:]
 
 
-def identity_field(dims_zyx, voxel_size) -> DisplacementField:
-    return DisplacementField(
-        disp=np.zeros((3,) + tuple(dims_zyx), dtype=np.float64),
-        voxel_size=tuple(voxel_size),
-    )
-
-
 def save_field(field: DisplacementField, prefix) -> None:
     """Store as three f32 stacks ``<prefix>_dx/_dy/_dz``."""
     for i, tag in enumerate(_FIELD_PARTS):

@@ -21,19 +21,6 @@ from ._cc import CONN_8_2D, label_components
 
 
 @dataclass
-class SubtractedSignal:
-    """Tracer signal after background-channel subtraction."""
-
-    values: np.ndarray
-    factor: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if (self.values < 0).any():
-            raise ValueError("subtracted signal must be nonnegative")
-
-
-@dataclass
 class TracerLabel:
     """Binary tracer mask plus the signal-weighted label image."""
 
@@ -47,8 +34,9 @@ class TracerLabel:
             raise ValueError("mask and signal must be congruent")
 
 
-def background_subtract(cg_slice, cr_slice, t: float = 1.1) -> SubtractedSignal:
-    """Remove autofluorescence: 0 where C_G < t*C_R, else C_G - t*C_R."""
+def background_subtract(cg_slice, cr_slice, t: float = 1.1) -> np.ndarray:
+    """Remove autofluorescence: a float64 array, 0 where C_G < t*C_R, else C_G - t*C_R
+    (so never negative)."""
     cg = np.asarray(cg_slice, dtype=np.float64)
     cr = np.asarray(cr_slice, dtype=np.float64)
     if cg.shape != cr.shape:
@@ -56,16 +44,14 @@ def background_subtract(cg_slice, cr_slice, t: float = 1.1) -> SubtractedSignal:
     if t <= 0:
         raise ValueError("subtraction factor must be > 0")
     scaled = t * cr
-    values = np.where(cg < scaled, 0.0, cg - scaled)
-    return SubtractedSignal(values=values, factor=t)
+    return np.where(cg < scaled, 0.0, cg - scaled)
 
 
-def double_threshold(signal: SubtractedSignal, hi: float = 300.0, lo: float = 100.0):
+def double_threshold(signal: np.ndarray, hi: float = 300.0, lo: float = 100.0):
     """Conservative and permissive masks; hi_mask is a subset of lo_mask."""
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
-    values = signal.values if isinstance(signal, SubtractedSignal) else np.asarray(signal)
-    return values > hi, values > lo
+    return signal > hi, signal > lo
 
 
 def morph_reconstruct(marker: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -125,14 +111,13 @@ def morph_close(binary: np.ndarray, disk_radius: int = 3) -> np.ndarray:
     return _erode(dilated, offsets, r)
 
 
-def compose_label(saliency: np.ndarray, signal: SubtractedSignal, theta: float = 0.5) -> TracerLabel:
+def compose_label(saliency: np.ndarray, signal: np.ndarray, theta: float = 0.5) -> TracerLabel:
     """Mask the subtracted signal with a thresholded saliency map."""
     sal = np.asarray(saliency, dtype=np.float64)
-    values = signal.values if isinstance(signal, SubtractedSignal) else np.asarray(signal)
-    if sal.shape != values.shape:
+    if sal.shape != signal.shape:
         raise ValueError("saliency and signal must be congruent")
     mask = sal > theta
-    return TracerLabel(mask=mask, signal=np.where(mask, values, 0.0))
+    return TracerLabel(mask=mask, signal=np.where(mask, signal, 0.0))
 
 
 def threshold_pipeline(
@@ -153,4 +138,4 @@ def threshold_pipeline(
     hi_mask, lo_mask = double_threshold(sub, hi=hi, lo=lo)
     reconstructed = morph_reconstruct(hi_mask, lo_mask)
     closed = morph_close(reconstructed, disk_radius=close_radius)
-    return TracerLabel(mask=closed, signal=np.where(closed, sub.values, 0.0))
+    return TracerLabel(mask=closed, signal=np.where(closed, sub, 0.0))

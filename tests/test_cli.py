@@ -23,7 +23,7 @@ from marmopipe.cli import (
 from marmopipe.evalsynth import PhantomSpec, generate_phantom
 from marmopipe.imgcore import Stack3D, read_stack, write_stack, write_tile
 from marmopipe.injsite import CellPointCloud
-from marmopipe.mapping import ConnectivityTable, DisplacementField, identity_field, save_field
+from marmopipe.mapping import ConnectivityTable, DisplacementField, save_field
 from rundigest import run_dir_digest
 
 
@@ -207,6 +207,8 @@ class TestPipeline:
         pytest.param("tiles/*.meta", {"stitch"}, id="sidecar_mtime"),
         pytest.param(dict(threads=3), set(), id="threads"),
         pytest.param(dict(t="1.10", hessian_sigmas="2, 3,4,5"), set(), id="spelling"),
+        pytest.param(dict(theta=0.9), set(), id="theta"),  # read by the unet backends only
+        pytest.param(dict(thigh=0.9), set(), id="thigh"),
     ])
     def test_rerun_follows_parameters_and_inputs(self, tmp_path, change, rerun):
         write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
@@ -268,7 +270,7 @@ class TestPipeline:
             assert skip.startswith(f"stage={stage.name} status=skip seconds=0.000 hash=")
             assert skip.split()[-1] == ok.split()[-1]
             assert records[stage.name]["outputs"] == cli._hash_files(
-                run / name for name in stage.outputs)
+                run / name for name in stage.outputs(cfg))
 
     def test_killed_stage_reruns(self, tmp_path, monkeypatch):
         write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
@@ -286,6 +288,33 @@ class TestPipeline:
         assert status["connectivity"] == "ok"
         assert list(status.values()).count("skip") == 4
         ConnectivityTable.load(tmp_path / "run" / "connectivity.txt")
+
+    def test_shading_fields_of_an_earlier_run_are_removed(self, tmp_path):
+        """Under ``flatfield=estimate`` the stitch stage records the shading fields it
+        writes; a later ``flatfield=none`` run removes them, so none looks current."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        run = tmp_path / "run"
+        run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", flatfield="estimate"))
+        recorded = json.loads((run / "stages.json").read_text())["stitch"]["outputs"]
+        assert set(cli._stacks("field_CR", "field_CG")) <= recorded.keys()
+        report = run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
+        assert stage_status(report)["stitch"] == "ok"
+        assert sorted(p.name for p in run.glob("field_*")) == []
+
+    def test_stage_fields_carry_the_tile_pitch(self, tmp_path):
+        """On 1.0 µm tiles the stitch stage writes the shading fields, header and pixels,
+        that ``flatfield-estimate`` writes from the same tiles."""
+        write_phantom(tmp_path, small_spec(pitch_um=1.0, n_cells=4, n_axons=1))
+        run = tmp_path / "run"
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", flatfield="estimate")
+        cli._run_stage(cli.STAGE_TABLE[0], cfg, cli.RunReport())
+        for ch in ("CR", "CG"):
+            assert cli.main(["flatfield-estimate", "--in", str(tmp_path / "tiles"),
+                             "--channel", ch, "--out", str(tmp_path / f"cmd_{ch}")]) == 0
+            assert read_stack(run / f"field_{ch}").voxel_size == (1.0, 1.0, 1.0)
+            for ext in (".hdr", ".raw"):
+                assert ((run / f"field_{ch}{ext}").read_bytes()
+                        == (tmp_path / f"cmd_{ch}{ext}").read_bytes())
 
 
     @pytest.mark.parametrize("bad, match", [
@@ -318,8 +347,8 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="stage map failed: .*_dz does not match"):
             run_pipeline(cfg)
         for stage in cli.STAGE_TABLE:
-            left = [name for name in stage.outputs if (run / name).exists()]
-            assert left == ([] if stage.name == "map" else list(stage.outputs)), stage.name
+            left = [name for name in stage.outputs(cfg) if (run / name).exists()]
+            assert left == ([] if stage.name == "map" else list(stage.outputs(cfg))), stage.name
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stitch_calls_its_kernels_through_their_modules(self, tmp_path, monkeypatch,
@@ -349,6 +378,22 @@ class TestPipeline:
         tiles = spec.grid_x * spec.grid_y * spec.n_sections
         assert calls == {"assemble_slice": 3 * spec.n_sections, "estimate_shading": 2,
                          "correct_tile": 2 * tiles}
+
+
+def name_running_bodies(monkeypatch, current: list) -> None:
+    """Run the pipeline's stages with ``current[0]`` naming the stage whose body runs
+    (None outside the bodies)."""
+    def named(stage):
+        def body(cfg, out):
+            current[0] = stage.name
+            try:
+                return stage.body(cfg, out)
+            finally:
+                current[0] = None
+        return stage._replace(body=body)
+
+    monkeypatch.setattr(cli, "_STAGES", [(stage.name, functools.partial(cli._run_stage, named(stage)))
+                                         for stage in cli.STAGE_TABLE])
 
 
 STAGES_SKIPPED = dict.fromkeys(("stitch", "locate", "tracer", "map", "connectivity"), "skip")
@@ -443,7 +488,7 @@ class TestMainEntry:
         assert "atlas:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         shape, voxel = truth.atlas_high.labels.shape, truth.atlas_high.voxel_size
-        save_field(identity_field(shape, voxel), tmp_path / "field")
+        save_field(DisplacementField(np.zeros((3, *shape)), voxel), tmp_path / "field")
         assert validate_config(dict(raw, field=str(tmp_path / "field"))) == []
 
     def test_validation_happens_before_stages(self, tmp_path):
@@ -560,7 +605,8 @@ class TestSubcommands:
                                  ("inj_mask", "mapped_mask", "nearest")):
             stack = read_stack(run / src)
             prefix = tmp_path / f"zero_{src}"
-            save_field(identity_field(stack.data.shape, stack.voxel_size), prefix)
+            zero = DisplacementField(np.zeros((3, *stack.data.shape)), stack.voxel_size)
+            save_field(zero, prefix)
             rc = cli.main(["map", "--in", str(run / src), "--field", str(prefix),
                            "--interp", interp, "--out", str(tmp_path / dst)])
             assert rc == 0
@@ -819,12 +865,15 @@ class TestStageReads:
     left out would be missing from the stage's key, so after a change to that file the
     stage's stale outputs would silently be reused."""
 
-    @pytest.mark.parametrize("sources", ["mask", "cells"])
-    @pytest.mark.parametrize("field", ["identity", "warp"])
+    @pytest.mark.parametrize("field, sources, flatfield", [
+        *(pytest.param(field, sources, "none", id=f"{field}-{sources}")
+          for field in ("identity", "warp") for sources in ("mask", "cells")),
+        pytest.param("identity", "mask", "estimate", id="identity-mask-estimate"),
+    ])
     def test_stage_opens_only_declared_run_dir_files(self, tmp_path, monkeypatch, field,
-                                                     sources):
+                                                     sources, flatfield):
         _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
-        overrides = dict(sources=sources)
+        overrides = dict(sources=sources, flatfield=flatfield)
         if field == "warp":
             save_warp(truth, tmp_path / "field")
             overrides.update(field=tmp_path / "field", atlas_low="")
@@ -841,30 +890,54 @@ class TestStageReads:
                 return open_file(file, mode, *args, **kwargs)
             return record
 
-        def traced(stage):
-            def body(cfg, out):
-                current[0] = stage.name
-                try:
-                    return stage.body(cfg, out)
-                finally:
-                    current[0] = None
-            return stage._replace(body=body)
-
         monkeypatch.setattr(builtins, "open", recorded(builtins.open))
         monkeypatch.setattr(io, "open", recorded(io.open))
-        monkeypatch.setattr(cli, "_STAGES", [
-            (stage.name, functools.partial(cli._run_stage, traced(stage)))
-            for stage in cli.STAGE_TABLE])
+        name_running_bodies(monkeypatch, current)
         assert run_pipeline(cfg).text().count("status=ok") == 5
         monkeypatch.undo()
         earlier = set()
         for stage in cli.STAGE_TABLE:
             reads = set(stage.reads(cfg))
             assert opened[stage.name]["read"] <= reads, stage.name
-            assert opened[stage.name]["write"] <= set(stage.outputs), stage.name
+            assert opened[stage.name]["write"] <= set(stage.outputs(cfg)), stage.name
             assert reads <= earlier, stage.name
-            earlier |= set(stage.outputs)
+            earlier |= set(stage.outputs(cfg))
         assert all(opened[stage.name]["read"] for stage in cli.STAGE_TABLE[1:])
+
+
+class TestStageKeys:
+    """Each config key a stage body reads is in the stage's key, so a change to it reruns
+    the stage.  ``threads`` is left out of every key: it does not change outputs."""
+
+    @pytest.mark.parametrize("cells, tracer", [("hessian", "threshold"), ("unet", "unet")])
+    def test_stage_key_holds_every_key_its_body_reads(self, tmp_path, monkeypatch, cells,
+                                                       tracer):
+        from marmopipe import nnseg
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        overrides = dict(cell_backend=cells, tracer_backend=tracer)
+        if cells == "unet":  # untrained: only the keys read matter here
+            for model, in_channels in (("cell_model", 1), ("tracer_model", 2)):
+                net = nnseg.init_unet(2, 4, in_channels, seed=0, input_scale=1 / 65535.0)
+                nnseg.save_model(net, tmp_path / model)
+                overrides[model] = tmp_path / model
+        cfg = pipeline_config(tmp_path, tmp_path / "truth", **overrides)
+        current, read = [None], collections.defaultdict(set)
+        lookup = PipelineConfig.__getattr__
+
+        def recorded(config, key):
+            if current[0]:
+                read[current[0]].add(key)
+            return lookup(config, key)
+
+        monkeypatch.setattr(PipelineConfig, "__getattr__", recorded)
+        name_running_bodies(monkeypatch, current)
+        assert run_pipeline(cfg).text().count("status=ok") == 5
+        monkeypatch.undo()
+        for stage in cli.STAGE_TABLE:
+            keyed = set(cli._keyed_params(stage, cfg))
+            assert read[stage.name] - {"threads"} <= keyed, stage.name
+        backend_only = {"thigh", "cell_model"} if cells == "unet" else {"hessian_cutoff"}
+        assert backend_only <= read["locate"]
 
 
 class TestStreamedFailures:

@@ -131,7 +131,8 @@ class TestCorrect:
 def test_field_stack_round_trip(tmp_path):
     v = vignette_field(16, 0.7)
     field = ShadingField(values=v, channel="CR", sample_count=3)
-    stack = field_to_stack(field)
+    stack = field_to_stack(field, 1.34)
+    assert stack.voxel_size == (1.34, 1.34, 1.0)
     back = field_from_stack(stack)
     assert np.allclose(back.values, field.values)
     assert back.channel == "CR"

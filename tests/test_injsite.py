@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from marmopipe._cc import CONN_6_3D, label_components
+from marmopipe._cc import CONN_6_3D, label_components, largest_component_mask
 from marmopipe.evalsynth import reference_largest_component, reference_rough_localize
 from marmopipe.imgcore import Stack3D
 from marmopipe.injsite import (
     CellPointCloud,
     detect_cells,
     hessian_cell_filter,
-    largest_component,
     roi_from_mask,
     rough_localize,
 )
@@ -61,29 +60,31 @@ class TestRoughLocalize:
 
 
 class TestLargestComponent:
+    """``_cc.largest_component_mask`` under 6-connectivity, as ``rough_localize`` calls it."""
+
     def test_single_component_identity(self):
         vol = np.zeros((6, 6, 6))
         vol[2:4, 2:4, 2:4] = 1.0
-        out = largest_component(stack_of(vol))
-        assert np.array_equal(out.data, vol)
+        out = largest_component_mask(vol > 0, CONN_6_3D)
+        assert np.array_equal(out, vol > 0)
 
     def test_size_tie_break_and_selection(self):
         vol = np.zeros((4, 12, 4))
         vol[1, 1:6, 1] = 1.0   # size 5
         vol[2, 7:11, 1:3]= 1.0 # 4x2 = 8 voxels
         vol[2, 7, 3] = 1.0     # size 9
-        out = largest_component(stack_of(vol))
-        assert out.data.sum() == 9.0
+        out = largest_component_mask(vol > 0, CONN_6_3D)
+        assert out.sum() == 9
 
     def test_empty_in_empty_out(self):
-        out = largest_component(stack_of(np.zeros((3, 3, 3))))
-        assert not out.data.any()
+        out = largest_component_mask(np.zeros((3, 3, 3), dtype=bool), CONN_6_3D)
+        assert not out.any()
 
     def test_random_vs_flood_fill(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
             vol = rng.random((10, 10, 10)) > 0.72
-            got = largest_component(stack_of(vol.astype(float))).data > 0
+            got = largest_component_mask(vol, CONN_6_3D)
             want = reference_largest_component(vol)
             assert np.array_equal(got, want)
 
@@ -91,7 +92,7 @@ class TestLargestComponent:
         vol = np.zeros((6, 12, 4))
         vol[0:5, 10, 3] = 1.0  # size 5, minimum linear index 43
         vol[1, 0:5, 0] = 1.0   # size 5, minimum linear index 48
-        out = largest_component(stack_of(vol)).data > 0
+        out = largest_component_mask(vol > 0, CONN_6_3D)
         assert np.array_equal(out, reference_largest_component(vol > 0))
         assert out.sum() == 5 and out[0:5, 10, 3].all()
 

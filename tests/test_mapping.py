@@ -10,7 +10,6 @@ from marmopipe.mapping import (
     DisplacementField,
     RegionAtlas,
     apply_field,
-    identity_field,
     injection_regions,
     load_field,
     map_stack,
@@ -30,21 +29,21 @@ class TestApplyField:
     def test_identity_nearest_exact(self):
         rng = np.random.default_rng(0)
         stack = stack_of(rng.integers(0, 100, (4, 5, 6)).astype(float), (1.34, 1.34, 50.0))
-        field = identity_field(stack.data.shape, stack.voxel_size)
+        field = DisplacementField(np.zeros((3, *stack.data.shape)), stack.voxel_size)
         out = apply_field(stack, field, interpolation="nearest")
         assert np.array_equal(out.data, stack.data)
 
     def test_identity_linear_exact(self):
         rng = np.random.default_rng(1)
         stack = stack_of(rng.random((4, 5, 6)), (1.34, 1.34, 50.0))
-        field = identity_field(stack.data.shape, stack.voxel_size)
+        field = DisplacementField(np.zeros((3, *stack.data.shape)), stack.voxel_size)
         out = apply_field(stack, field, interpolation="linear")
         assert np.array_equal(out.data, stack.data)
 
     def test_translation_by_one_voxel(self):
         rng = np.random.default_rng(2)
         stack = stack_of(rng.random((4, 6, 6)), (2.0, 2.0, 2.0))
-        field = identity_field(stack.data.shape, stack.voxel_size)
+        field = DisplacementField(np.zeros((3, *stack.data.shape)), stack.voxel_size)
         field.disp[0, :, :, :] = 2.0  # +1 voxel in x: sample from x+1
         out = apply_field(stack, field, interpolation="nearest")
         assert np.array_equal(out.data[:, :, :-1], stack.data[:, :, 1:])
@@ -55,11 +54,11 @@ class TestApplyField:
         rng = np.random.default_rng(3)
         if case == "random":
             stack = stack_of(rng.random((5, 7, 6)), (2.0, 3.0, 4.0))
-            field = identity_field((4, 5, 5), (3.0, 3.5, 4.5))
+            field = DisplacementField(np.zeros((3, 4, 5, 5)), (3.0, 3.5, 4.5))
             field.disp[:] = rng.normal(0, 2.0, field.disp.shape)
         else:  # congruent grids, so x and z (and with whole voxels, y) fractions are 0
             stack = stack_of(rng.random((4, 5, 5)), (3.0, 3.5, 4.5))
-            field = identity_field((4, 5, 5), (3.0, 3.5, 4.5))
+            field = DisplacementField(np.zeros((3, 4, 5, 5)), (3.0, 3.5, 4.5))
             if case == "y_only":
                 field.disp[1] = rng.normal(0, 2.0, field.disp[1].shape)
             else:
@@ -81,7 +80,7 @@ class TestApplyField:
 
     def test_out_of_domain_zero(self):
         stack = stack_of(np.ones((2, 2, 2)))
-        field = identity_field((2, 2, 2), (1.0, 1.0, 1.0))
+        field = DisplacementField(np.zeros((3, 2, 2, 2)), (1.0, 1.0, 1.0))
         field.disp[2] = -100.0
         out = apply_field(stack, field, interpolation="nearest")
         assert not out.data.any()
@@ -89,7 +88,7 @@ class TestApplyField:
     def test_bad_interpolation(self):
         stack = stack_of(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
-            apply_field(stack, identity_field((2, 2, 2), (1, 1, 1)), "cubic")
+            apply_field(stack, DisplacementField(np.zeros((3, 2, 2, 2)), (1, 1, 1)), "cubic")
 
 
 def resample_case(i: int, root) -> str:
@@ -280,7 +279,7 @@ def test_linear_on_labels_warns(caplog):
     import logging
     labels = Stack3D(np.zeros((3, 3, 3)), (1.0, 1.0, 1.0), dtype="u16")
     labels.data[1, 1, 1] = 2.0
-    field = identity_field((3, 3, 3), (1.0, 1.0, 1.0))
+    field = DisplacementField(np.zeros((3, 3, 3, 3)), (1.0, 1.0, 1.0))
     with caplog.at_level(logging.WARNING, logger="marmopipe.mapping"):
         apply_field(labels, field, interpolation="linear")
     assert any("nearest" in rec.message for rec in caplog.records)
@@ -291,7 +290,7 @@ def test_apply_field_memory_is_bounded_by_slices(interpolation):
     import tracemalloc
     rng = np.random.default_rng(12)
     stack = stack_of(rng.random((24, 40, 32)), (1.34, 1.34, 50.0))
-    field = identity_field(stack.data.shape, stack.voxel_size)
+    field = DisplacementField(np.zeros((3, *stack.data.shape)), stack.voxel_size)
     field.disp[1] = 3.0 * np.sin(np.arange(32) / 5.0)
     tracemalloc.start()
     try:

@@ -3,7 +3,6 @@ import pytest
 
 from marmopipe._cc import CONN_8_2D, label_components
 from marmopipe.tracerseg import (
-    SubtractedSignal,
     background_subtract,
     compose_label,
     disk_offsets,
@@ -21,18 +20,18 @@ class TestBackgroundSubtract:
         rng = np.random.default_rng(0)
         img = rng.integers(0, 2000, (16, 16)).astype(float)
         out = background_subtract(img, img, t=1.1)
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
 
     def test_paper_example(self):
         out = background_subtract(np.full((2, 2), 500.0), np.full((2, 2), 100.0), t=1.1)
-        assert np.allclose(out.values, 390.0)
+        assert np.allclose(out, 390.0)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         cg = rng.integers(0, 3000, (20, 20)).astype(float)
         cr = rng.integers(0, 3000, (20, 20)).astype(float)
         out = background_subtract(cg, cr, t=1.1)
-        assert np.array_equal(out.values, oracles.subtract_oracle(cg, cr, 1.1))
+        assert np.array_equal(out, oracles.subtract_oracle(cg, cr, 1.1))
 
     def test_extent_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -41,24 +40,24 @@ class TestBackgroundSubtract:
 
 class TestDoubleThreshold:
     def test_zero_signal(self):
-        hi, lo = double_threshold(SubtractedSignal(np.zeros((4, 4)), 1.1))
+        hi, lo = double_threshold(np.zeros((4, 4)))
         assert not hi.any() and not lo.any()
 
     def test_paper_thresholds(self):
-        sig = SubtractedSignal(np.array([[50.0, 150.0, 400.0]]), 1.1)
+        sig = np.array([[50.0, 150.0, 400.0]])
         hi, lo = double_threshold(sig, hi=300.0, lo=100.0)
         assert lo.tolist() == [[False, True, True]]
         assert hi.tolist() == [[False, False, True]]
 
     def test_hi_subset_lo(self):
         rng = np.random.default_rng(2)
-        sig = SubtractedSignal(rng.random((30, 30)) * 500, 1.1)
+        sig = rng.random((30, 30)) * 500
         hi, lo = double_threshold(sig)
         assert not (hi & ~lo).any()
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            double_threshold(SubtractedSignal(np.zeros((2, 2)), 1.1), hi=100, lo=100)
+            double_threshold(np.zeros((2, 2)), hi=100, lo=100)
 
 
 class TestMorphReconstruct:
@@ -187,7 +186,7 @@ class TestMorphClose:
 
 class TestComposeLabel:
     def test_zero_saliency(self):
-        sig = SubtractedSignal(np.full((4, 4), 100.0), 1.1)
+        sig = np.full((4, 4), 100.0)
         out = compose_label(np.zeros((4, 4)), sig)
         assert not out.mask.any()
         assert np.all(out.signal == 0.0)
@@ -195,7 +194,7 @@ class TestComposeLabel:
     def test_full_saliency_passes_signal(self):
         rng = np.random.default_rng(8)
         vals = rng.random((6, 6)) * 100
-        sig = SubtractedSignal(vals, 1.1)
+        sig = vals
         out = compose_label(np.ones((6, 6)), sig)
         assert out.mask.all()
         assert np.array_equal(out.signal, vals)
@@ -204,7 +203,7 @@ class TestComposeLabel:
         rng = np.random.default_rng(9)
         sal = rng.random((10, 10))
         vals = rng.random((10, 10)) * 400
-        out = compose_label(sal, SubtractedSignal(vals, 1.1), theta=0.5)
+        out = compose_label(sal, vals, theta=0.5)
         for y in range(10):
             for x in range(10):
                 want = vals[y, x] if sal[y, x] > 0.5 else 0.0
