@@ -6,10 +6,11 @@ localization, (c) tracer segmentation, (d) mapping to reference space and
 the run directory, is skipped only when its outputs exist and its key is the one
 ``stages.json`` records, and appends a ``stage=... status=... seconds=... hash=...``
 line.  The key is a sha256 of the stage's config values in canonical form (the
-``repr`` of each typed value, so ``1.1`` and ``1.10`` are one key; a key that only
-the backend not chosen reads is left out), the size and mtime of the files they
-name (each tile's PGM and ``.meta`` sidecar), and the recorded sha256 of each
-run-dir file it reads, so a stage rerun to the same bytes reruns no stage after it.  ``stages.json`` is ``{stage: {"key", "outputs": {file: sha256}}}``.
+``repr`` of each typed value, so ``1.1`` and ``1.10`` are one key; a key that only the
+backend or flat-field mode not chosen reads is left out), the size and mtime of the
+files they name (each tile's PGM and ``.meta`` sidecar), and the recorded sha256 of
+each run-dir file it reads, so a stage rerun to the same bytes reruns no stage after
+it.  ``stages.json`` is ``{stage: {"key", "outputs": {file: sha256}}}``.
 
 All five stages stream: they hold one section per thread, never a whole
 high-resolution volume, and append each output slice to its stack as it is made.
@@ -50,8 +51,8 @@ class ConfigError(ValueError):
 # configuration: one Param row per key, read by config files, validation, stage keys
 # and stage subcommand flags.  ``type`` parses a config string, or a value already of
 # the type; ``check(value)`` says what is wrong with a typed value, or returns None.
-# ``when=(backend key, value)`` marks a key that only that backend reads; stage keys
-# leave it out under the other backend.
+# ``when=(key, value)`` marks a key that is read only when ``key`` has that value (a
+# backend, or ``flatfield=estimate``); stage keys leave it out under any other value.
 # ---------------------------------------------------------------------------
 
 
@@ -74,8 +75,8 @@ def _one_of(*choices):
 
 _POSITIVE = _check(lambda v: v > 0, "a value > 0")
 _FRACTION = _check(lambda v: 0 <= v <= 1, "a value in [0, 1]")
-_STACK = _check(lambda v: not v or Path(v + ".hdr").exists(), "a stack prefix")
-_MODEL = _check(lambda v: not v or Path(v + ".manifest").exists(), "a model prefix")
+_STACK = _check(lambda v: not v or imgcore._stack_paths(v)[0].exists(), "a stack prefix")
+_MODEL = _check(lambda v: not v or imgcore.prefix_paths(v, "model")[0].exists(), "a model prefix")
 _HESSIAN, _UNET_CELLS = ("cell_backend", "hessian"), ("cell_backend", "unet")
 _THRESHOLD, _UNET_TRACER = ("tracer_backend", "threshold"), ("tracer_backend", "unet")
 
@@ -84,11 +85,11 @@ PARAMS = {p.name: p for p in (
     Param("out", str, ""),
     Param("threads", int, 1, _check(lambda v: v >= 1, "an integer >= 1")),
     Param("flatfield", str, "estimate", _check(
-        lambda v: v in ("estimate", "none") or any(Path(f"{v}_{ch}.hdr").exists()
+        lambda v: v in ("estimate", "none") or any(imgcore._stack_paths(f"{v}_{ch}")[0].exists()
                                                    for ch in ("CR", "CG")),
         "estimate, none or a saved field prefix")),
-    Param("ff_lower", float, 2.0),
-    Param("ff_upper", float, 2500.0),
+    Param("ff_lower", float, 2.0, when=("flatfield", "estimate")),
+    Param("ff_upper", float, 2500.0, when=("flatfield", "estimate")),
     Param("margin", int, 50, _check(lambda v: v >= 0, "an integer >= 0")),
     Param("low_voxel_um", float, 50.0, _POSITIVE),
     Param("traw", float, 4500.0),
@@ -108,7 +109,7 @@ PARAMS = {p.name: p for p in (
     Param("close", int, 3, _check(lambda v: v >= 1, "an integer >= 1"), when=_THRESHOLD),
     Param("theta", float, 0.5, _FRACTION, when=_UNET_TRACER),
     Param("field", str, "identity", _check(
-        lambda v: v == "identity" or Path(v + "_dx.hdr").exists(),
+        lambda v: v == "identity" or imgcore._stack_paths(v + "_dx")[0].exists(),
         "identity or a field prefix")),
     Param("atlas", str, "", _STACK),
     Param("atlas_low", str, "", _STACK),
@@ -157,16 +158,10 @@ class PipelineConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
-    return raw
+    try:
+        return imgcore.parse_records(text, "config")
+    except imgcore.FormatError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def validate_config(raw: dict) -> list[str]:
@@ -269,7 +264,7 @@ class RunReport:
 
 
 def _stacks(*prefixes) -> tuple[str, ...]:
-    return tuple(f"{p}{ext}" for p in prefixes for ext in (".hdr", ".raw"))
+    return tuple(str(p) for prefix in prefixes for p in imgcore._stack_paths(prefix))
 
 
 # One pipeline stage: body(cfg, out) writes the files named in `outputs(cfg)` into the
@@ -278,8 +273,8 @@ Stage = collections.namedtuple("Stage", "name reads params outputs body")
 
 
 def _keyed_params(stage: Stage, cfg: PipelineConfig) -> list[str]:
-    """The stage's params that its key holds under ``cfg``: all but those that only
-    the backend ``cfg`` does not choose reads."""
+    """The stage's params that its key holds under ``cfg``: all but those whose
+    ``when`` value ``cfg`` does not choose."""
     whens = {key: PARAMS[key].when for key in stage.params}
     return [key for key, when in whens.items() if not when or cfg.values[when[0]] == when[1]]
 
@@ -291,9 +286,9 @@ def _param_files(key: str, value) -> list[Path]:
     if value in ("", "estimate", "none", "identity"):
         return []
     if key in ("atlas", "atlas_low"):
-        return [*imgcore._stack_paths(value), Path(value).with_suffix(".names")]
+        return list(imgcore.prefix_paths(value, "atlas"))
     if key in ("cell_model", "tracer_model"):
-        return list(nnseg.io._paths(value))
+        return list(imgcore.prefix_paths(value, "model"))
     tags = {"flatfield": ("_CR", "_CG"), "field": ("_dx", "_dy", "_dz")}.get(key, ())
     return [p for tag in tags for p in imgcore._stack_paths(value + tag)]
 
@@ -736,7 +731,7 @@ def _cmd_eval(args) -> int:
         lines.append(f"cells tp={m.tp} fp={m.fp} fn={m.fn} f1={m.f1:.4f}")
     mask_path = run_dir / "tracer_mask"
     truth_mask = truth_dir / "tracer_mask"
-    if mask_path.with_suffix(".hdr").exists() and truth_mask.with_suffix(".hdr").exists():
+    if all(imgcore._stack_paths(p)[0].exists() for p in (mask_path, truth_mask)):
         pred = imgcore.read_stack(mask_path).data > 0
         truth = imgcore.read_stack(truth_mask).data > 0
         sm = evalsynth.segmentation_metrics(pred, truth)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgcore import Stack3D, Tile2D, U16_MAX, write_stack
+from .imgcore import Stack3D, Tile2D, U16_MAX, parse_records, write_stack
 from .injsite import CellPointCloud
 from .mapping import ConnectivityTable, RegionAtlas
 from .tracerseg import morph_close
@@ -122,17 +122,12 @@ class PhantomSpec:
     def load(cls, path) -> "PhantomSpec":
         kwargs = {}
         casts = {f.name: f.type for f in dc_fields(cls)}
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            key = key.strip()
+        for key, value in parse_records(Path(path).read_text(), path).items():
             if key not in casts:
                 raise ValueError(f"unknown phantom key {key!r}")
             kind = casts[key]
             if kind == "bool" or kind is bool:
-                kwargs[key] = value.strip() in ("1", "True", "true")
+                kwargs[key] = value in ("1", "True", "true")
             elif kind == "int" or kind is int:
                 kwargs[key] = int(value)
             else:

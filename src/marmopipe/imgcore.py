@@ -14,6 +14,12 @@ Conventions used throughout the package:
   ``StackReader.slab``; ``write_stack`` and ``read_stack`` pass whole stacks
   through them.  ``read_tile_info`` reads a tile's placement and
   extent without its pixels.
+* Files: a prefix names its files by appending the suffixes of its kind
+  (``prefix_paths``): a stack ``.hdr``/``.raw``, a tile ``.pgm``/``.meta``, a model
+  ``.manifest``/``.bin``, an atlas a stack plus ``.names``; a field is the stacks
+  ``_dx/_dy/_dz`` and a saved flat field ``_CR/_CG``.  A prefix that ends in one of
+  its kind's suffixes is taken without it; any other dot is part of the name.  Text
+  headers and sidecars are ``key=value`` records (``parse_records``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,35 @@ U16_MAX = 65535
 
 
 class FormatError(ValueError):
-    """Raised when a tile or stack file does not conform to the format."""
+    """Raised when a file does not conform to its format."""
+
+
+_SUFFIXES = {"stack": (".hdr", ".raw"), "tile": (".pgm", ".meta"),
+            "model": (".manifest", ".bin"), "atlas": (".hdr", ".raw", ".names")}
+
+
+def prefix_paths(prefix, kind: str) -> tuple[Path, ...]:
+    """The files ``<prefix><suffix>`` for each suffix of ``kind`` in ``_SUFFIXES``; a
+    prefix that ends in one of them is taken without it."""
+    name, suffixes = str(prefix), _SUFFIXES[kind]
+    name = next((name[:-len(s)] for s in suffixes if name.endswith(s)), name)
+    return tuple(Path(name + s) for s in suffixes)
+
+
+def parse_records(text: str, source) -> dict[str, str]:
+    """The ``key=value`` lines of ``text`` by key, key and value stripped; a later line
+    wins.  Blank lines and ``#`` lines are skipped; any other line without ``=`` is a
+    ``FormatError`` that names ``source`` and the line number."""
+    records = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(f"{source} line {lineno}: expected key=value, got {line!r}")
+        records[key.strip()] = value.strip()
+    return records
 
 
 def _as_float_grid(a, ndim, name):
@@ -129,10 +163,7 @@ class SaliencyMap:
 
 
 def _tile_paths(path) -> tuple[Path, Path]:
-    path = Path(path)
-    if path.suffix != ".pgm":
-        path = path.with_suffix(".pgm")
-    return path, path.with_suffix(".meta")
+    return prefix_paths(path, "tile")
 
 
 def write_tile(tile: Tile2D, path) -> Path:
@@ -178,12 +209,7 @@ def _parse_pgm_header(blob: bytes):
 
 
 def _read_sidecar(meta: Path) -> dict:
-    fields = {}
-    for line in meta.read_text().splitlines():
-        line = line.strip()
-        if line and "=" in line:
-            key, value = line.split("=", 1)
-            fields[key] = value
+    fields = parse_records(meta.read_text(), meta)
     try:
         channel = fields["channel"]
         ox, oy, oz = (float(v) for v in fields["offset_um"].split())
@@ -248,10 +274,7 @@ _STACK_DTYPES = {"u16": "<u2", "f32": "<f4"}
 
 
 def _stack_paths(prefix) -> tuple[Path, Path]:
-    prefix = Path(prefix)
-    if prefix.suffix in (".hdr", ".raw"):
-        prefix = prefix.with_suffix("")
-    return prefix.with_suffix(".hdr"), prefix.with_suffix(".raw")
+    return prefix_paths(prefix, "stack")
 
 
 def _write_header(hdr: Path, dims, voxel_size, dtype: str, channel: str) -> None:
@@ -267,12 +290,7 @@ def _write_header(hdr: Path, dims, voxel_size, dtype: str, channel: str) -> None
 
 def _read_header(hdr: Path):
     """``(dims, voxel_size, dtype, channel)`` of a stack header."""
-    fields = {}
-    for line in hdr.read_text().splitlines():
-        line = line.strip()
-        if line and "=" in line:
-            key, value = line.split("=", 1)
-            fields[key] = value
+    fields = parse_records(hdr.read_text(), hdr)
     try:
         nx, ny, nz = (int(v) for v in fields["dims"].split())
         voxel = tuple(float(v) for v in fields["voxel_um"].split())

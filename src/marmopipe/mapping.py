@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgcore import Stack3D, StackReader, StackWriter, _stack_paths, read_stack, write_stack
+from .imgcore import Stack3D, StackReader, StackWriter, prefix_paths, read_stack, write_stack
 from .injsite import CellPointCloud
 
 log = logging.getLogger(__name__)
@@ -231,7 +231,7 @@ def map_stack(source, field, interpolation: str, dest) -> None:
     source slices its sample positions touch, so neither the field nor the source is
     read whole.  ``dest`` gets its header only once every slice is in.
     """
-    if _stack_paths(source)[1].resolve() == _stack_paths(dest)[1].resolve():
+    if prefix_paths(source, "stack")[1].resolve() == prefix_paths(dest, "stack")[1].resolve():
         raise ValueError(f"{dest} is the stack it would be mapped from")
     src = StackReader(source)
     if field is None:
@@ -265,7 +265,7 @@ def _labels(a) -> np.ndarray:
 def atlas_names(prefix) -> dict[int, str]:
     """The region names of ``<prefix>.names`` (``<id> <name>`` lines), or none."""
     names = {}
-    names_path = Path(str(prefix)).with_suffix(".names")
+    names_path = prefix_paths(prefix, "atlas")[2]
     if names_path.exists():
         for line in names_path.read_text().splitlines():
             if line.strip():
@@ -299,7 +299,7 @@ class RegionAtlas:
             prefix,
         )
         lines = [f"{rid} {name}" for rid, name in sorted(self.names.items())]
-        Path(str(prefix)).with_suffix(".names").write_text("\n".join(lines) + "\n")
+        prefix_paths(prefix, "atlas")[2].write_text("\n".join(lines) + "\n")
 
 
 def check_congruent(what: str, shape, atlas_shape) -> None:

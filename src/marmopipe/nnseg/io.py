@@ -11,18 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..imgcore import parse_records, prefix_paths
 from .unet import UNetParams, param_shapes
 
 
-def _paths(prefix):
-    prefix = Path(prefix)
-    if prefix.suffix in (".manifest", ".bin"):
-        prefix = prefix.with_suffix("")
-    return prefix.with_suffix(".manifest"), prefix.with_suffix(".bin")
-
-
 def save_model(net: UNetParams, prefix) -> Path:
-    manifest, blob = _paths(prefix)
+    manifest, blob = prefix_paths(prefix, "model")
     lines = [
         "format=marmopipe-unet-1",
         f"depth={net.depth}",
@@ -42,23 +36,14 @@ def save_model(net: UNetParams, prefix) -> Path:
 
 
 def load_model(prefix) -> UNetParams:
-    manifest, blob = _paths(prefix)
-    head = {}
-    entries = []
-    for line in manifest.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, value = line.split("=", 1)
-        # a batch-norm model run without its normalization would give
-        # silently wrong saliency maps; dropout needs nothing at inference
-        if key.startswith("stat:"):
-            raise ValueError(f"{manifest}: batch-norm statistics are not supported")
-        if key.startswith("param:"):
-            shape = tuple(int(v) for v in value.split()) if value.strip() else ()
-            entries.append((key[len("param:"):], shape))
-        else:
-            head[key] = value
+    manifest, blob = prefix_paths(prefix, "model")
+    head = parse_records(manifest.read_text(), manifest)
+    # a batch-norm model run without its normalization would give
+    # silently wrong saliency maps; dropout needs nothing at inference
+    if any(key.startswith("stat:") for key in head):
+        raise ValueError(f"{manifest}: batch-norm statistics are not supported")
+    entries = [(key[len("param:"):], tuple(int(v) for v in value.split()))
+               for key, value in head.items() if key.startswith("param:")]
     if head.get("format") != "marmopipe-unet-1":
         raise ValueError(f"unknown model format in {manifest}")
     if int(head.get("use_batchnorm", "0")):

@@ -209,6 +209,7 @@ class TestPipeline:
         pytest.param(dict(t="1.10", hessian_sigmas="2, 3,4,5"), set(), id="spelling"),
         pytest.param(dict(theta=0.9), set(), id="theta"),  # read by the unet backends only
         pytest.param(dict(thigh=0.9), set(), id="thigh"),
+        pytest.param(dict(ff_lower=3), set(), id="ff_lower"),  # read by flatfield=estimate only
     ])
     def test_rerun_follows_parameters_and_inputs(self, tmp_path, change, rerun):
         write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
@@ -316,6 +317,24 @@ class TestPipeline:
                 assert ((run / f"field_{ch}{ext}").read_bytes()
                         == (tmp_path / f"cmd_{ch}{ext}").read_bytes())
 
+    def test_dotted_prefixes_are_checked_and_read(self, tmp_path):
+        """``atlas``, ``field`` and ``flatfield`` prefixes with a dot in their names pass
+        validation, and a run through them writes what a run through the same files
+        under undotted prefixes writes."""
+        _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        digests = {}
+        for name in ("plain", "v1.5"):
+            atlas, field, shading = (tmp_path / f"{kind}_{name}" for kind in ("atlas", "f", "ff"))
+            truth.atlas_high.save(atlas)
+            save_warp(truth, field)
+            for ch in ("CR", "CG"):
+                assert cli.main(["flatfield-estimate", "--in", str(tmp_path / "tiles"),
+                                 "--channel", ch, "--out", f"{shading}_{ch}"]) == 0
+            cfg = pipeline_config(tmp_path, tmp_path / "truth", out=tmp_path / name, atlas=atlas,
+                                  atlas_low="", field=field, flatfield=shading)
+            assert run_pipeline(cfg).text().count("status=ok") == 5
+            digests[name] = run_dir_digest(tmp_path / name, skip=("report.txt", "stages.json"))
+        assert digests["v1.5"] == digests["plain"]
 
     @pytest.mark.parametrize("bad, match", [
         (dict(close=0), "close: expected an integer >= 1, got 0"),

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from marmopipe.evalsynth import reference_block_mean, reference_gaussian_blur
+from marmopipe import flatfield, mapping, nnseg
+from marmopipe.evalsynth import PhantomSpec, reference_block_mean, reference_gaussian_blur
 from marmopipe.imgcore import (
     FormatError,
     Stack3D,
@@ -155,6 +158,74 @@ class TestStackIO:
         raw.write_bytes(raw.read_bytes()[:-3])
         with pytest.raises(FormatError, match="payload"):
             read_stack(tmp_path / "s")
+
+
+
+def _save_atlas(v, prefix):
+    mapping.RegionAtlas(np.full((2, 3, 4), v), (1.0, 1.0, 2.0), {v: f"region{v}"}).save(prefix)
+
+
+def _save_field(v, prefix):
+    mapping.save_field(mapping.DisplacementField(np.full((3, 2, 3, 4), v), (1.0, 1.0, 2.0)), prefix)
+
+
+def _save_shading(v, prefix):
+    for ch in ("CR", "CG"):
+        shading = flatfield.ShadingField(np.full((3, 4), v), ch)
+        write_stack(flatfield.field_to_stack(shading, 1.34), f"{prefix}_{ch}")
+
+
+# each kind of file set: a writer of a set that holds the integer v, and its reader
+FILE_SETS = {
+    "stack": (lambda v, p: write_stack(Stack3D(np.full((2, 3, 4), v), (1.0, 1.0, 2.0)), p),
+              lambda p: read_stack(p).data.max()),
+    "model": (lambda v, p: nnseg.save_model(nnseg.init_unet(1, 2, 1, seed=v), p),
+              lambda p: nnseg.load_model(p).seed),
+    "atlas": (_save_atlas, lambda p: mapping.RegionAtlas.load(p).names),
+    "field": (_save_field, lambda p: mapping.load_field(p).disp.max()),
+    "flatfield": (_save_shading,
+                  lambda p: [flatfield.field_from_stack(read_stack(f"{p}_{ch}")).values.max()
+                             for ch in ("CR", "CG")]),
+}
+
+
+class TestFileSets:
+    @pytest.mark.parametrize("kind", FILE_SETS)
+    def test_dotted_prefix_names_its_own_files(self, tmp_path, kind):
+        """A dot in a prefix is part of its name: ``x_v1.5`` round-trips, and writing
+        ``x_v1.7`` leaves every byte of it as it was."""
+        save, load = FILE_SETS[kind]
+        save(5, tmp_path / "x_v1.5")
+        want = load(tmp_path / "x_v1.5")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert all(name.startswith("x_v1.5") for name in before)
+        save(7, tmp_path / "x_v1.7")
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("x_v1.5*")} == before
+        assert load(tmp_path / "x_v1.5") == want != load(tmp_path / "x_v1.7")
+
+    def test_prefix_with_its_suffix_names_the_same_set(self, tmp_path):
+        stack = Stack3D(np.ones((1, 2, 2)), (1.0, 1.0, 1.0))
+        assert write_stack(stack, tmp_path / "s.v2.raw") == tmp_path / "s.v2.hdr"
+        assert read_stack(tmp_path / "s.v2.hdr").data.sum() == 4
+
+    @pytest.mark.parametrize("kind", ["header", "sidecar", "manifest", "spec"])
+    def test_line_without_equals_names_file_and_line(self, tmp_path, kind):
+        if kind == "spec":
+            path, read = tmp_path / "spec.txt", PhantomSpec.load
+            PhantomSpec().save(path)
+        elif kind == "manifest":
+            nnseg.save_model(nnseg.init_unet(1, 2, 1), tmp_path / "m")
+            path, read = tmp_path / "m.manifest", nnseg.load_model
+        elif kind == "sidecar":
+            write_tile(make_tile(np.zeros((4, 4))), tmp_path / "t")
+            path, read = tmp_path / "t.meta", read_tile
+        else:
+            write_stack(Stack3D(np.zeros((1, 2, 2)), (1.0, 1.0, 1.0)), tmp_path / "s")
+            path, read = tmp_path / "s.hdr", read_stack
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", "# note", "stray", *lines[1:]]) + "\n")
+        with pytest.raises(FormatError, match=rf"{re.escape(str(path))} line 4: .*'stray'"):
+            read(path)
 
 
 class TestDownsample:
