@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._cc import CONN_6_3D, largest_component_mask
-from .imgcore import Stack3D, gaussian_blur
+from .imgcore import FormatError, Stack3D, gaussian_blur
 
 log = logging.getLogger(__name__)
 
@@ -62,13 +62,19 @@ class CellPointCloud:
 
     @classmethod
     def load(cls, path) -> "CellPointCloud":
+        """Read saved cells; a line other than ``x y z score`` is a FormatError that names
+        the file and the line."""
         points, scores = [], []
-        for line in Path(path).read_text().splitlines():
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            x, y, z, s = line.split()
-            points.append((int(x), int(y), int(z)))
-            scores.append(float(s))
+            try:
+                x, y, z, s = line.split()
+                points.append((int(x), int(y), int(z)))
+                scores.append(float(s))
+            except ValueError as exc:
+                raise FormatError(f"{path} line {lineno}: expected 'x y z score', "
+                                  f"got {line!r}") from exc
         return cls(points=np.array(points, dtype=np.int64).reshape(-1, 3),
                    scores=np.array(scores, dtype=np.float64))
 

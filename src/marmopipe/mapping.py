@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgcore import Stack3D, StackReader, StackWriter, prefix_paths, read_stack, write_stack
+from .imgcore import (FormatError, Stack3D, StackReader, StackWriter, prefix_paths, read_stack,
+                      write_stack)
 from .injsite import CellPointCloud
 
 log = logging.getLogger(__name__)
@@ -263,14 +264,19 @@ def _labels(a) -> np.ndarray:
 
 
 def atlas_names(prefix) -> dict[int, str]:
-    """The region names of ``<prefix>.names`` (``<id> <name>`` lines), or none."""
+    """The region names of ``<prefix>.names`` (``<id> <name>`` lines), or none; a line of
+    another form is a FormatError that names the file and the line."""
     names = {}
     names_path = prefix_paths(prefix, "atlas")[2]
     if names_path.exists():
-        for line in names_path.read_text().splitlines():
+        for lineno, line in enumerate(names_path.read_text().splitlines(), 1):
             if line.strip():
-                rid, name = line.split(None, 1)
-                names[int(rid)] = name.strip()
+                try:
+                    rid, name = line.split(None, 1)
+                    names[int(rid)] = name.strip()
+                except ValueError as exc:
+                    raise FormatError(f"{names_path} line {lineno}: expected '<id> <name>', "
+                                      f"got {line!r}") from exc
     return names
 
 
@@ -455,12 +461,14 @@ class ConnectivityTable:
 
     @classmethod
     def load(cls, path) -> "ConnectivityTable":
+        """Read a saved table; a row other than ``src|tgt <region> <value>`` is a
+        FormatError that names the file and the line."""
         brain = injection = ""
         meta = {}
         sources: dict[int, float] = {}
         targets: dict[int, float] = {}
         out_src = out_tgt = 0.0
-        for line in Path(path).read_text().splitlines():
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
@@ -479,13 +487,12 @@ class ConnectivityTable:
                         else:
                             meta[key] = value
                 continue
-            kind, rid, value = line.split()
-            if kind == "src":
-                sources[int(rid)] = float(value)
-            elif kind == "tgt":
-                targets[int(rid)] = float(value)
-            else:
-                raise ValueError(f"unrecognized table line: {line!r}")
+            try:
+                kind, rid, value = line.split()
+                {"src": sources, "tgt": targets}[kind][int(rid)] = float(value)
+            except (KeyError, ValueError) as exc:
+                raise FormatError(f"{path} line {lineno}: expected 'src|tgt <region> <value>', "
+                                  f"got {line!r}") from exc
         return cls(
             brain_id=brain,
             injection_id=injection,

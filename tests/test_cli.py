@@ -24,7 +24,7 @@ from marmopipe.evalsynth import PhantomSpec, generate_phantom
 from marmopipe.imgcore import Stack3D, read_stack, write_stack, write_tile
 from marmopipe.injsite import CellPointCloud
 from marmopipe.mapping import ConnectivityTable, DisplacementField, save_field
-from rundigest import run_dir_digest
+from rundigest import file_digests, run_dir_digest
 
 
 def small_spec(**kw):
@@ -548,6 +548,13 @@ class TestMainEntry:
                 == (tmp_path / "st" / "layout.txt").read_bytes())
 
 
+def stitch_command(tmp_path, out) -> list[str]:
+    """``stitch`` argv for the tiles of ``write_phantom(tmp_path, ...)`` into ``out``, with
+    the keys of ``pipeline_config``."""
+    return ["stitch", "--tiles", str(tmp_path / "tiles"), "--margin", "20", "--flatfield",
+            "none", "--out", str(out)]
+
+
 class TestSubcommands:
     def make_run(self, tmp_path):
         spec = small_spec()
@@ -556,69 +563,111 @@ class TestSubcommands:
         run_pipeline(cfg)
         return tmp_path / "run", truth
 
-    def test_inject_locate_command(self, tmp_path):
+    def stitched(self, tmp_path):
+        """A run dir ``tmp_path/sub`` that the ``stitch`` subcommand wrote, and the truth."""
+        _, truth = write_phantom(tmp_path, small_spec())
+        assert cli.main(stitch_command(tmp_path, tmp_path / "sub")) == 0
+        return tmp_path / "sub", truth
+
+    def map_inputs(self, tmp_path):
+        """A ``run_pipeline`` run dir, the truth, and a dir ``tmp_path/sub`` that holds
+        copies of the map stage's inputs and nothing else."""
         run, truth = self.make_run(tmp_path)
-        out = tmp_path / "loc"
-        rc = cli.main([
-            "inject-locate", "--cb-low", str(run / "low_CB"),
-            "--cb-high", str(run / "high_CB"), "--out", str(out),
-        ])
-        assert rc == 0
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        for name in cli._stacks("tracer_L", "inj_mask"):
+            (sub / name).write_bytes((run / name).read_bytes())
+        return run, truth, sub
+
+    def test_locate_command(self, tmp_path):
+        out, truth = self.stitched(tmp_path)
+        assert cli.main(["locate", "--out", str(out)]) == 0
         mask = read_stack(out / "inj_mask")
         assert np.array_equal(mask.data > 0, truth.injection_mask_low)
-        assert (out / "cells.txt").exists()
+        assert len(CellPointCloud.load(out / "cells.txt")) > 0
 
-    def test_tracer_seg_command(self, tmp_path):
-        run, truth = self.make_run(tmp_path)
-        out = tmp_path / "seg"
-        rc = cli.main([
-            "tracer-seg", "--cg", str(run / "high_CG"), "--cr", str(run / "high_CR"),
-            "--out", str(out),
-        ])
-        assert rc == 0
+    def test_tracer_command(self, tmp_path):
+        out, truth = self.stitched(tmp_path)
+        assert cli.main(["tracer", "--out", str(out)]) == 0
         mask = read_stack(out / "tracer_mask")
         assert np.array_equal(mask.data > 0, truth.tracer_mask)
 
+    def test_locate_rerun_leaves_no_stale_cells(self, tmp_path):
+        """A ``locate`` rerun under another key removes the cells of the first run: with
+        ``--traw 1e9`` the mask is empty, and so is ``cells.txt``."""
+        out, _ = self.stitched(tmp_path)
+        assert cli.main(["locate", "--out", str(out)]) == 0
+        assert len(CellPointCloud.load(out / "cells.txt")) > 0
+        assert cli.main(["locate", "--traw", "1e9", "--out", str(out)]) == 0
+        assert not read_stack(out / "inj_mask").data.any()
+        assert len(CellPointCloud.load(out / "cells.txt")) == 0
+
     @pytest.mark.parametrize("argv, change, output", [
-        (["inject-locate", "--cb-low", "{run}/low_CB", "--cb-high", "{run}/high_CB",
-          "--hessian-cutoff", "100"], dict(hessian_cutoff=100), "cells.txt"),
-        (["tracer-seg", "--cg", "{run}/high_CG", "--cr", "{run}/high_CR",
-          "--tracer-backend", "threshold", "--hi", "5000", "--lo", "4000"],
+        (["locate", "--hessian-cutoff", "100"], dict(hessian_cutoff=100), "cells.txt"),
+        (["tracer", "--tracer-backend", "threshold", "--hi", "5000", "--lo", "4000"],
          dict(hi=5000, lo=4000), "tracer_mask.raw"),
-    ], ids=["inject_locate", "tracer_seg"])
+    ], ids=["locate", "tracer"])
     def test_stage_flags_set_config_keys(self, tmp_path, argv, change, output):
         """A stage flag sets its config key: the subcommand writes what the pipeline
         writes with that key, and not what it writes with the default."""
         write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
         run_pipeline(pipeline_config(tmp_path, tmp_path / "truth", **change))
         run = tmp_path / "run"
-        argv = [a.format(run=run) for a in argv]
-        for flags, out in ((argv, "flags"), (argv[:5], "defaults")):
+        for flags, out in ((argv, "flags"), (argv[:1], "defaults")):
+            assert cli.main(stitch_command(tmp_path, tmp_path / out)) == 0
             assert cli.main(flags + ["--out", str(tmp_path / out)]) == 0
         assert (tmp_path / "flags" / output).read_bytes() == (run / output).read_bytes()
         assert (tmp_path / "defaults" / output).read_bytes() != (run / output).read_bytes()
 
     def test_map_and_connectivity_commands(self, tmp_path):
-        run, truth = self.make_run(tmp_path)
+        _, truth, sub = self.map_inputs(tmp_path)
+        assert cli.main(["map", "--field", "identity", "--out", str(sub)]) == 0
         rc = cli.main([
-            "map", "--in", str(run / "tracer_L"), "--field", "identity",
-            "--out", str(tmp_path / "L_mapped"),
+            "connectivity", "--atlas", str(tmp_path / "truth" / "atlas_high"),
+            "--atlas-low", str(tmp_path / "truth" / "atlas_low"), "--out", str(sub),
         ])
         assert rc == 0
-        rc = cli.main([
-            "connectivity", "--signal", str(tmp_path / "L_mapped"),
-            "--mask", str(run / "inj_mask"),
-            "--atlas", str(tmp_path / "truth" / "atlas_high"),
-            "--atlas-low", str(tmp_path / "truth" / "atlas_low"),
-            "--out", str(tmp_path / "table.txt"),
-        ])
-        assert rc == 0
-        got = ConnectivityTable.load(tmp_path / "table.txt")
+        got = ConnectivityTable.load(sub / "connectivity.txt")
         assert got.sources == truth.table.sources
         assert got.targets == truth.table.targets
 
+    def test_inputs_put_in_by_hand_are_keyed_by_their_bytes(self, tmp_path):
+        """A run-dir input that no stage recorded keys a stage by its sha256 as a recorded
+        one does: ``map`` reruns after ``tracer_L`` is replaced, and skips when it is
+        put back."""
+        run, _, sub = self.map_inputs(tmp_path)
+        signal = read_stack(run / "tracer_L")
+        twice = Stack3D(2 * signal.data, signal.voxel_size, signal.channel, signal.dtype)
+        for stack, status in ((signal, "ok"), (twice, "ok"), (signal, "ok"), (signal, "skip")):
+            write_stack(stack, sub / "tracer_L")
+            report = cli.RunReport()
+            cli._run_stage(cli.STAGE_TABLE[3], PipelineConfig(dict(out=sub)), report)
+            assert stage_status(report) == {"map": status}
+            assert np.array_equal(read_stack(sub / "mapped_L").data, stack.data)
+
+    def test_stage_subcommands_write_what_run_writes(self, tmp_path, capsys):
+        """The five stage subcommands, run in table order into a fresh dir, write the run
+        dir ``run`` writes, ``stages.json`` included; run again, each prints the skip line
+        with the ``hash=`` that ``run`` printed."""
+        write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
+        ran = run_pipeline(pipeline_config(tmp_path, tmp_path / "truth")).lines
+        sub = tmp_path / "sub"
+        argv = {stage.name: [stage.name, "--out", str(sub)] for stage in cli.STAGE_TABLE}
+        argv["stitch"] = stitch_command(tmp_path, sub)
+        argv["connectivity"] += ["--atlas", str(tmp_path / "truth" / "atlas_high"),
+                                 "--atlas-low", str(tmp_path / "truth" / "atlas_low")]
+        for status in ("ok", "skip"):
+            capsys.readouterr()
+            assert [cli.main(args) for args in argv.values()] == [0] * 5
+            printed = capsys.readouterr().out.splitlines()
+            assert [line.split()[:2] for line in printed] == [
+                [f"stage={stage.name}", f"status={status}"] for stage in cli.STAGE_TABLE]
+            assert [line.split()[-1] for line in printed] == [line.split()[-1] for line in ran]
+        assert file_digests(sub) == file_digests(tmp_path / "run")
+
     def test_zero_field_maps_like_identity(self, tmp_path):
-        """field=identity writes what resampling through a saved zero field writes."""
+        """The map stage's ``field=identity`` writes what resampling through a saved zero
+        field writes."""
         run, _ = self.make_run(tmp_path)
         for src, dst, interp in (("tracer_L", "mapped_L", "linear"),
                                  ("inj_mask", "mapped_mask", "nearest")):
@@ -626,9 +675,7 @@ class TestSubcommands:
             prefix = tmp_path / f"zero_{src}"
             zero = DisplacementField(np.zeros((3, *stack.data.shape)), stack.voxel_size)
             save_field(zero, prefix)
-            rc = cli.main(["map", "--in", str(run / src), "--field", str(prefix),
-                           "--interp", interp, "--out", str(tmp_path / dst)])
-            assert rc == 0
+            mapping.map_stack(run / src, prefix, interp, tmp_path / dst)
             for ext in (".hdr", ".raw"):
                 resampled = (tmp_path / f"{dst}{ext}").read_bytes()
                 assert resampled == (run / f"{dst}{ext}").read_bytes()
@@ -662,6 +709,29 @@ class TestSubcommands:
         sal = read_stack(tmp_path / "sal")
         assert sal.data.shape == images.shape
         assert sal.data.min() >= 0.0 and sal.data.max() <= 1.0
+
+    def test_predict_streams_two_channels_and_checks_their_shapes(self, tmp_path, capsys):
+        """A two-channel ``predict`` writes each slice's saliency of (C_R, C_G) as an f32
+        stack tagged ``NONE``; a ``--second`` stack of another shape exits 2 naming both."""
+        from marmopipe import nnseg
+        nnseg.save_model(nnseg.init_unet(2, 4, 2, seed=1, input_scale=1 / 65535.0),
+                         tmp_path / "model")
+        rng = np.random.default_rng(3)
+        cg, cr = (rng.integers(0, 4000, (2, 48, 40)).astype(float) for _ in range(2))
+        for name, data in (("cg", cg), ("cr", cr), ("cr3", np.concatenate([cr, cr[:1]]))):
+            write_stack(Stack3D(data, (1.34, 1.34, 50.0), dtype="u16"), tmp_path / name)
+        argv = ["predict", "--model", str(tmp_path / "model"), "--in", str(tmp_path / "cg")]
+        assert cli.main(argv + ["--second", str(tmp_path / "cr"), "--out", str(tmp_path / "sal")]) == 0
+        net = nnseg.load_model(tmp_path / "model")
+        want = np.stack([nnseg.sliding_window_predict(net, np.stack([cr[z], cg[z]])).values
+                         for z in range(2)])
+        write_stack(Stack3D(want, (1.34, 1.34, 50.0)), tmp_path / "want")
+        for ext in (".hdr", ".raw"):
+            assert (tmp_path / f"sal{ext}").read_bytes() == (tmp_path / f"want{ext}").read_bytes()
+        capsys.readouterr()
+        assert cli.main(argv + ["--second", str(tmp_path / "cr3"), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "(3, 48, 40)" in err and "(2, 48, 40)" in err
 
     def test_unet_backends_through_pipeline(self, tmp_path):
         # wiring test: tiny models, few steps; asserts the unet-backed
@@ -781,7 +851,7 @@ class TestStreamedStages:
         write_phantom(tmp_path, small_spec(z_step_um=20.0, n_sections=5, n_cells=4, n_axons=1))
         run = tmp_path / "run"
         run.mkdir()
-        cli.stitch_tiles(pipeline_config(tmp_path, tmp_path / "truth"), tmp_path / "tiles", run)
+        cli.stitch_tiles(pipeline_config(tmp_path, tmp_path / "truth"), run)
         for ch in CHANNELS:
             by_z = {}
             for p in sorted((tmp_path / "tiles").glob(f"*_{ch}.pgm")):
@@ -816,7 +886,7 @@ class TestStreamedStages:
         run = tmp_path / "run"
         run.mkdir()
         with pytest.raises(ValueError, match=match):
-            cli.stitch_tiles(cfg, tile_dir, run)
+            cli.stitch_tiles(cfg, run)
         assert list(run.iterdir()) == []
 
     def test_killed_stitch_reruns_to_clean_bytes(self, tmp_path, monkeypatch):
@@ -1003,13 +1073,26 @@ class TestStreamedFailures:
             run_pipeline(cfg)
         assert not (tmp_path / "run" / "connectivity.txt").exists()
 
-    def test_map_onto_its_own_source_is_refused(self, tmp_path, capsys):
+    def test_map_onto_its_own_source_is_refused(self, tmp_path):
         """Streaming into the stack it reads would truncate it before it is read."""
         write_stack(Stack3D(np.arange(24.0).reshape(2, 3, 4), (1.0, 1.0, 1.0)), tmp_path / "s")
         before = (tmp_path / "s.raw").read_bytes()
-        assert cli.main(["map", "--in", str(tmp_path / "s"), "--out", str(tmp_path / "s")]) == 2
-        assert "is the stack it would be mapped from" in capsys.readouterr().err
+        for dest in ("s", "s.hdr"):
+            with pytest.raises(ValueError, match="is the stack it would be mapped from"):
+                mapping.map_stack(tmp_path / "s", None, "linear", tmp_path / dest)
         assert (tmp_path / "s.raw").read_bytes() == before
+
+
+def test_readme_names_every_subcommand():
+    """The first paragraph of the README's "Subcommands" section names, in backticks,
+    exactly the subcommands of ``cli.build_parser()`` (flags start with ``--``)."""
+    import re
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("## Subcommands\n\n", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([a-z][a-z-]*)`", paragraph))
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert named == set(commands)
 
 
 def test_readme_names_every_config_key():

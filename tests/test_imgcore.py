@@ -227,6 +227,28 @@ class TestFileSets:
         with pytest.raises(FormatError, match=rf"{re.escape(str(path))} line 4: .*'stray'"):
             read(path)
 
+    @pytest.mark.parametrize("kind, stray", [
+        ("names", "2"), ("cells", "4 5"), ("table", "src 1")])
+    def test_short_line_names_file_and_line(self, tmp_path, kind, stray):
+        """The whitespace-separated line readers of the atlas names, the cells and the
+        connectivity table name the file and the line of a line too short to read."""
+        from marmopipe.injsite import CellPointCloud
+        if kind == "names":
+            mapping.RegionAtlas(np.ones((1, 2, 2)), (1.0, 1.0, 1.0), {1: "a", 3: "b"}).save(
+                tmp_path / "atlas")
+            path, read = tmp_path / "atlas.names", mapping.atlas_names
+        elif kind == "cells":
+            CellPointCloud(points=[[1, 2, 0], [3, 4, 0]], scores=[0.5, 0.7]).save(tmp_path / "c.txt")
+            path, read = tmp_path / "c.txt", CellPointCloud.load
+        else:
+            mapping.ConnectivityTable("b", "i", sources={1: 2.0}, targets={1: 3.0}).save(
+                tmp_path / "t.txt")
+            path, read = tmp_path / "t.txt", mapping.ConnectivityTable.load
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", lines[1], stray, *lines[2:]]) + "\n")
+        with pytest.raises(FormatError, match=rf"{re.escape(str(path))} line 4: .*'{stray}'"):
+            read(path)
+
 
 class TestDownsample:
     def test_2x2_mean(self):

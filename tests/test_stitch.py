@@ -306,5 +306,5 @@ def test_stitch_stage_blends_each_section_by_its_own_layout(tmp_path, threads, m
     cfg = cli.PipelineConfig(dict(tiles=tmp_path / "tiles", out=tmp_path / "run", margin=2,
                                   flatfield="none", threads=threads))
     (tmp_path / "run").mkdir()
-    cli.stitch_tiles(cfg, cfg.tiles, tmp_path / "run")
+    cli.stitch_tiles(cfg, tmp_path / "run")
     assert checked == [True] * 5
