@@ -80,8 +80,34 @@ def _one_of(*choices):
 
 _POSITIVE = _check(lambda v: v > 0, "a value > 0")
 _FRACTION = _check(lambda v: 0 <= v <= 1, "a value in [0, 1]")
-_STACK = _check(lambda v: not v or imgcore._stack_paths(v)[0].exists(), "a stack prefix")
-_MODEL = _check(lambda v: not v or imgcore.prefix_paths(v, "model")[0].exists(), "a model prefix")
+
+
+def _param_files(key: str, value) -> list[Path]:
+    """The files that a path-valued config value names; each tile is its PGM and sidecar."""
+    if key == "tiles":
+        return [p for pgm in sorted(Path(value).glob("*.pgm")) for p in imgcore._tile_paths(pgm)]
+    if value in ("", "estimate", "none", "identity"):
+        return []
+    if key in ("atlas", "atlas_low"):
+        return list(imgcore.prefix_paths(value, "atlas"))
+    if key in ("cell_model", "tracer_model"):
+        return list(imgcore.prefix_paths(value, "model"))
+    tags = {"flatfield": ("_CR", "_CG"), "field": ("_dx", "_dy", "_dz")}.get(key, ())
+    return [p for tag in tags for p in imgcore._stack_paths(value + tag)]
+
+
+def _file_set(key: str, expected: str, *words):
+    """The check of a path-valued key: one of ``words``, or a prefix every file of whose
+    set (``_param_files``; an atlas's ``.names`` may be missing) exists."""
+    def ok(value):
+        files = _param_files(key, value)
+        return value in words or (bool(files) and all(
+            p.exists() for p in files if p.suffix != ".names"))
+    return _check(ok, expected)
+
+
+_ATLAS = _file_set("atlas", "an atlas prefix (.hdr and .raw)", "")
+_MODEL = _file_set("cell_model", "a model prefix (.manifest and .bin)", "")
 _HESSIAN, _UNET_CELLS = ("cell_backend", "hessian"), ("cell_backend", "unet")
 _THRESHOLD, _UNET_TRACER = ("tracer_backend", "threshold"), ("tracer_backend", "unet")
 
@@ -89,10 +115,9 @@ PARAMS = {p.name: p for p in (
     Param("tiles", str, "", _check(lambda v: not v or Path(v).is_dir(), "a tile directory")),
     Param("out", str, ""),
     Param("threads", int, 1, _check(lambda v: v >= 1, "an integer >= 1")),
-    Param("flatfield", str, "estimate", _check(
-        lambda v: v in ("estimate", "none") or any(imgcore._stack_paths(f"{v}_{ch}")[0].exists()
-                                                   for ch in ("CR", "CG")),
-        "estimate, none or a saved field prefix")),
+    Param("flatfield", str, "estimate", _file_set(
+        "flatfield", "estimate, none or a saved field prefix (_CR and _CG stacks)",
+        "estimate", "none")),
     Param("ff_lower", float, 2.0, when=("flatfield", "estimate")),
     Param("ff_upper", float, 2500.0, when=("flatfield", "estimate")),
     Param("margin", int, 50, _check(lambda v: v >= 0, "an integer >= 0")),
@@ -113,11 +138,10 @@ PARAMS = {p.name: p for p in (
     Param("lo", float, 100.0, _POSITIVE, when=_THRESHOLD),
     Param("close", int, 3, _check(lambda v: v >= 1, "an integer >= 1"), when=_THRESHOLD),
     Param("theta", float, 0.5, _FRACTION, when=_UNET_TRACER),
-    Param("field", str, "identity", _check(
-        lambda v: v == "identity" or imgcore._stack_paths(v + "_dx")[0].exists(),
-        "identity or a field prefix")),
-    Param("atlas", str, "", _STACK),
-    Param("atlas_low", str, "", _STACK),
+    Param("field", str, "identity", _file_set(
+        "field", "identity or a field prefix (_dx, _dy and _dz stacks)", "identity")),
+    Param("atlas", str, "", _ATLAS),
+    Param("atlas_low", str, "", _ATLAS),
     Param("sources", str, "mask", _one_of("mask", "cells")),
     Param("normalize", int, 0, _one_of(0, 1)),
     Param("brain_id", str, "brain"),
@@ -278,8 +302,18 @@ def _stacks(*prefixes) -> tuple[str, ...]:
 
 
 # One pipeline stage: body(cfg, out) writes the files named in `outputs(cfg)` into the
-# run directory `out` from the config keys in `params` and the earlier outputs `reads(cfg)`.
-Stage = collections.namedtuple("Stage", "name reads params outputs body")
+# run directory `out` from the config keys in `params` and the earlier outputs `reads(cfg)`;
+# the keys in `needs` must not be empty.
+Stage = collections.namedtuple("Stage", "name reads params outputs body needs", defaults=((),))
+
+
+def _check_needs(command: str, stages, cfg: PipelineConfig) -> None:
+    """A ConfigError naming the keys that ``stages`` need and ``cfg`` leaves empty: ``out``
+    and each stage's ``needs``."""
+    keys = dict.fromkeys(("out", *(key for stage in stages for key in stage.needs)))
+    missing = [key for key in keys if not cfg.values[key]]
+    if missing:
+        raise ConfigError(f"{command} requires " + " and ".join(missing))
 
 
 def _keyed_params(stage: Stage, cfg: PipelineConfig) -> list[str]:
@@ -287,20 +321,6 @@ def _keyed_params(stage: Stage, cfg: PipelineConfig) -> list[str]:
     ``when`` value ``cfg`` does not choose."""
     whens = {key: PARAMS[key].when for key in stage.params}
     return [key for key, when in whens.items() if not when or cfg.values[when[0]] == when[1]]
-
-
-def _param_files(key: str, value) -> list[Path]:
-    """The files that a path-valued config value names; each tile is its PGM and sidecar."""
-    if key == "tiles":
-        return [p for pgm in sorted(Path(value).glob("*.pgm")) for p in imgcore._tile_paths(pgm)]
-    if value in ("", "estimate", "none", "identity"):
-        return []
-    if key in ("atlas", "atlas_low"):
-        return list(imgcore.prefix_paths(value, "atlas"))
-    if key in ("cell_model", "tracer_model"):
-        return list(imgcore.prefix_paths(value, "model"))
-    tags = {"flatfield": ("_CR", "_CG"), "field": ("_dx", "_dy", "_dz")}.get(key, ())
-    return [p for tag in tags for p in imgcore._stack_paths(value + tag)]
 
 
 def _stage_key(stage: Stage, cfg: PipelineConfig, stored: dict) -> str:
@@ -353,8 +373,6 @@ def _run_stage(stage: Stage, cfg: PipelineConfig, report: RunReport) -> None:
         stage.body(cfg, out)
     except Exception as exc:
         report.add(stage.name, "fail", 0.0)
-        if isinstance(exc, ConfigError):
-            raise
         raise RuntimeError(f"stage {stage.name} failed: {exc}") from exc
     seconds = time.time() - t0
     stored[stage.name] = {"key": key, "outputs": _hash_files(outputs)}
@@ -473,17 +491,16 @@ def _stitch_channel(cfg: PipelineConfig, ch: str, plan: _ChannelPlan, field, out
             low.write(plan.low.mean(slab))
 
 
-def _cells_in_roi(cfg: PipelineConfig, high_path, mask, low_voxel_um):
+def _cells_in_roi(cfg: PipelineConfig, high_path, mask):
     """Detect cells with ``cfg.cell_backend`` inside the mask's high-resolution ROI
     rectangles; each window is cut from its own slice of the stack ``high_path``."""
     model = nnseg.load_model(cfg.cell_model) if cfg.cell_backend == "unet" else None
     cutoff = cfg.thigh if model is not None else cfg.hessian_cutoff
     high_cb = imgcore.StackReader(high_path)
-    roi = injsite.roi_from_mask(mask, high_voxel_um=high_cb.voxel_size[0],
-                                low_voxel_um=low_voxel_um, pad_px=cfg.roi_pad)
-    roi = roi.clip(*high_cb.dims[:2])
+    roi = injsite.roi_from_mask(mask, high_cb.dims[:2], high_voxel_um=high_cb.voxel_size[0],
+                                pad_px=cfg.roi_pad)
     points, scores = [], []
-    for z, (x0, y0, x1, y1) in sorted(roi.rects.items()):
+    for z, (x0, y0, x1, y1) in sorted(roi.items()):
         window = high_cb.slab(z, z + 1)[0, y0:y1, x0:x1]
         if window.size == 0:
             continue
@@ -508,7 +525,7 @@ def locate_injection(cfg: PipelineConfig, out: Path) -> None:
     if mask.empty:
         cloud = injsite.CellPointCloud(points=[], scores=[])
     else:
-        cloud = _cells_in_roi(cfg, out / "high_CB", mask, low_cb.voxel_size[0])
+        cloud = _cells_in_roi(cfg, out / "high_CB", mask)
     cloud.save(out / "cells.txt")
 
 
@@ -558,8 +575,6 @@ def connectivity_table(cfg: PipelineConfig, out: Path) -> None:
     they lie on that atlas: the cells, or a mask with no ``atlas_low``.  A mask on
     ``atlas_low`` is counted in a pass of its own.
     """
-    if not cfg.atlas:
-        raise ConfigError("connectivity stage requires atlas=<prefix>")
     atlas = imgcore.StackReader(cfg.atlas)
     source_atlas, mask, cloud = atlas, None, None
     if cfg.sources == "cells":
@@ -601,7 +616,7 @@ def _stitch_outputs(cfg: PipelineConfig) -> tuple[str, ...]:
 STAGE_TABLE = [
     Stage("stitch", lambda cfg: (),
           ("tiles", "flatfield", "ff_lower", "ff_upper", "margin", "low_voxel_um"),
-          _stitch_outputs, stitch_tiles),
+          _stitch_outputs, stitch_tiles, needs=("tiles",)),
     Stage("locate", lambda cfg: _stacks("low_CB", "high_CB"),
           ("traw", "sigma_um", "cell_backend", "cell_model", "thigh", "hessian_sigmas",
            "hessian_cutoff", "roi_pad"),
@@ -614,7 +629,7 @@ STAGE_TABLE = [
     Stage("connectivity", lambda cfg: _stacks("mapped_L") + (
               _stacks("mapped_mask") if cfg.sources == "mask" else ("cells.txt",)),
           ("atlas", "atlas_low", "sources", "normalize", "brain_id", "injection_id"),
-          lambda cfg: ("connectivity.txt",), connectivity_table),
+          lambda cfg: ("connectivity.txt",), connectivity_table, needs=("atlas",)),
 ]
 
 
@@ -624,11 +639,10 @@ _STAGES = [(stage.name, functools.partial(_run_stage, stage)) for stage in STAGE
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
-    """Check ``cfg`` as a config file is checked, then run all stages in order; failures
-    halt with the stage name attached."""
-    if not cfg.tiles or not cfg.out:
-        raise ConfigError("run requires tiles=<dir> and out=<dir>")
+    """Check ``cfg`` as a config file is checked and for the keys every stage needs, then
+    run all stages in order; failures halt with the stage name attached."""
     checked_config(cfg.values)
+    _check_needs("run", STAGE_TABLE, cfg)
     report = RunReport()
     try:
         for _, run_stage in _STAGES:
@@ -825,8 +839,7 @@ def _dispatch(args) -> int:
     if args.stage is None:
         return args.handler(args)
     cfg = checked_config({key: getattr(args, key) for key in (*_flag_keys(args.stage), "out")})
-    if args.stage.name == "stitch" and not cfg.tiles:
-        raise ConfigError("stitch requires --tiles <dir>")
+    _check_needs(args.stage.name, [args.stage], cfg)
     report = RunReport()
     _run_stage(args.stage, cfg, report)
     print(report.text(), end="")

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * The centre of voxel ``i`` along an axis with spacing ``h`` sits at
   ``(i + 0.5) * h`` micrometres.
 * All computation happens on float64 arrays; 16-bit quantization only occurs
-  when writing ``u16`` payloads.
+  when writing ``u16`` payloads, and ``write_tile`` is where a tile's [0, 65535]
+  range is checked.
+* Every kernel that mirror-extends an array does it by ``np.pad(mode="reflect")``.
 * A stack moves between disk and memory one z-slice at a time through
   ``StackWriter`` and ``StackReader``, or a slab of slices at a time through
   ``StackReader.slab``; ``write_stack`` and ``read_stack`` pass whole stacks
@@ -81,9 +83,9 @@ def _as_float_grid(a, ndim, name):
 class Tile2D:
     """One microscope image tile with its world placement.
 
-    ``pixels`` is float64 in memory but represents 16-bit intensities; values
-    must stay inside [0, 65535].  ``world_offset`` is the (x, y, z) position
-    of the tile origin in micrometres.
+    ``pixels`` is float64 in memory but represents 16-bit intensities; ``write_tile``
+    rejects a tile with a value outside [0, 65535].  ``world_offset`` is the (x, y, z)
+    position of the tile origin in micrometres.
     """
 
     pixels: np.ndarray
@@ -98,9 +100,6 @@ class Tile2D:
             raise ValueError(f"unknown channel tag {self.channel!r}")
         if self.pixel_pitch <= 0:
             raise ValueError("pixel_pitch must be > 0")
-        lo, hi = float(self.pixels.min()), float(self.pixels.max())
-        if lo < 0 or hi > U16_MAX:
-            raise ValueError(f"tile intensities outside [0, {U16_MAX}]: [{lo}, {hi}]")
         self.world_offset = tuple(float(v) for v in self.world_offset)
 
     @property
@@ -497,30 +496,11 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def mirror_indices(n: int, before: int, after: int) -> np.ndarray:
-    """Source indices for mirror extension (no edge repeat, period 2(n-1))."""
-    idx = np.arange(-before, n + after)
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * (n - 1)
-    j = np.abs(idx) % period
-    return np.where(j > n - 1, period - j, j)
-
-
-def reflect_pad(a: np.ndarray, widths) -> np.ndarray:
-    """Mirror-pad by per-axis (before, after) widths of any size."""
-    out = np.asarray(a)
-    for axis, (before, after) in enumerate(widths):
-        if before or after:
-            out = out.take(mirror_indices(out.shape[axis], before, after), axis=axis)
-    return out
-
-
 def _convolve_axis(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     radius = len(kernel) // 2
     widths = [(0, 0)] * a.ndim
     widths[axis] = (radius, radius)
-    padded = reflect_pad(np.asarray(a, dtype=np.float64), widths)
+    padded = np.pad(np.asarray(a, dtype=np.float64), widths, mode="reflect")
     windows = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=axis)
     return np.tensordot(windows, kernel, axes=([-1], [0]))
 

@@ -5,13 +5,15 @@ channel (threshold, Gaussian smoothing of the binary volume, relative
 re-threshold at half the maximum, largest connected component by
 ``_cc.largest_component_mask``), and precise per-slice cell detection on the
 high-resolution stack from a saliency map (either the trained network or the
-hand-crafted Hessian blob filter).
+hand-crafted Hessian blob filter).  ``roi_from_mask`` maps the mask to one
+rectangle per slice, a plain ``{z: (x0, y0, x1, y1)}`` clipped to the
+high-resolution extent, from which the detection windows are cut.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,6 @@ class InjectionMask:
     """Binary rough-localization mask on the 50 µm grid."""
 
     mask: Stack3D
-    t_raw: float
-    t_low: float
 
     @property
     def empty(self) -> bool:
@@ -89,27 +89,17 @@ def rough_localize(low_cb: Stack3D, t_raw: float = 4500.0, sigma_um: float = 150
     relative, the kernel normalization drops out of the result.
     """
     candidates = (low_cb.data > t_raw).astype(np.float64)
-    if not candidates.any():
+    if candidates.any():
+        vx, vy, vz = low_cb.voxel_size
+        smoothed = gaussian_blur(candidates, sigma_um, voxel_size=(vz, vy, vx))
+        t_low = 0.5 * float(smoothed.max())
+        kept = largest_component_mask(smoothed > t_low, CONN_6_3D)
+    else:
         log.warning("no voxel above t_raw=%g; empty injection mask", t_raw)
-        empty = Stack3D(
-            data=np.zeros_like(low_cb.data),
-            voxel_size=low_cb.voxel_size,
-            channel=low_cb.channel,
-            dtype="u16",
-        )
-        return InjectionMask(mask=empty, t_raw=t_raw, t_low=0.0)
-
-    vx, vy, vz = low_cb.voxel_size
-    smoothed = gaussian_blur(candidates, sigma_um, voxel_size=(vz, vy, vx))
-    t_low = 0.5 * float(smoothed.max())
-    kept = largest_component_mask(smoothed > t_low, CONN_6_3D)
-    mask = Stack3D(
-        data=kept.astype(np.float64),
-        voxel_size=low_cb.voxel_size,
-        channel=low_cb.channel,
-        dtype="u16",
-    )
-    return InjectionMask(mask=mask, t_raw=t_raw, t_low=t_low)
+        kept = candidates
+    mask = Stack3D(data=kept.astype(np.float64), voxel_size=low_cb.voxel_size,
+                   channel=low_cb.channel, dtype="u16")
+    return InjectionMask(mask=mask)
 
 
 def hessian_cell_filter(image: np.ndarray, sigmas) -> np.ndarray:
@@ -177,34 +167,20 @@ def detect_cells(saliency: np.ndarray, t_high: float = 0.5) -> CellPointCloud:
     return CellPointCloud(points=np.concatenate(points), scores=np.concatenate(scores))
 
 
-@dataclass
-class SliceROI:
-    """Per-slice bounding rectangles (half-open, clipped at 0), keyed by z."""
-
-    rects: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
-
-    def clip(self, width: int, height: int) -> "SliceROI":
-        out = {}
-        for z, (x0, y0, x1, y1) in self.rects.items():
-            out[z] = (max(0, x0), max(0, y0), min(width, x1), min(height, y1))
-        return SliceROI(rects=out)
-
-
-def roi_from_mask(
-    mask: InjectionMask,
-    high_voxel_um: float = 1.34,
-    low_voxel_um: float = 50.0,
-    pad_px: int = 8,
-) -> SliceROI:
+def roi_from_mask(mask: InjectionMask, extent, high_voxel_um: float = 1.34,
+                  pad_px: int = 8) -> dict[int, tuple[int, int, int, int]]:
     """Map the low-resolution mask to high-resolution per-slice rectangles.
 
     In-plane, mask voxel (x, y) covers the block [x*s, (x+1)*s) x
-    [y*s, (y+1)*s) with s = low/high; z maps 1:1 (both stacks are cut from
-    the same 50 µm sections).  Rectangles are padded by ``pad_px``.
+    [y*s, (y+1)*s) with s = low/high, the low voxel being the mask's own; z maps
+    1:1 (both stacks are cut from the same 50 µm sections).  Rectangles are padded
+    by ``pad_px`` and clipped to the high-resolution ``extent`` (width, height).
+    Returns ``{z: (x0, y0, x1, y1)}``, half-open, for each slice with a mask voxel.
     """
     if mask.empty:
         raise ValueError("empty injection mask has no ROI")
-    s = low_voxel_um / high_voxel_um
+    s = mask.mask.voxel_size[0] / high_voxel_um
+    width, height = extent
     rects = {}
     for z in range(mask.mask.data.shape[0]):
         ys, xs = np.nonzero(mask.mask.data[z] > 0)
@@ -214,5 +190,5 @@ def roi_from_mask(
         y0 = int(round(ys.min() * s)) - pad_px
         x1 = int(round((xs.max() + 1) * s)) + pad_px
         y1 = int(round((ys.max() + 1) * s)) + pad_px
-        rects[z] = (max(0, x0), max(0, y0), x1, y1)
-    return SliceROI(rects=rects)
+        rects[z] = (max(0, x0), max(0, y0), min(width, x1), min(height, y1))
+    return rects

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..imgcore import SaliencyMap, reflect_pad
+from ..imgcore import SaliencyMap
 from .unet import UNet, UNetParams, next_valid_input, valid_input
 
 
@@ -57,7 +57,7 @@ def sliding_window_predict(net: UNetParams, image: np.ndarray, nominal_out: int 
     # needs when the slice is smaller than one window
     pad_y = m // 2 + max(0, rows[-1][0] + rows[-1][1] - h)
     pad_x = m // 2 + max(0, cols[-1][0] + cols[-1][1] - w)
-    padded = reflect_pad(image, [(0, 0), (m // 2, pad_y), (m // 2, pad_x)])
+    padded = np.pad(image, [(0, 0), (m // 2, pad_y), (m // 2, pad_x)], mode="reflect")
 
     model = UNet(net)
     out = np.zeros((h, w), dtype=np.float64)
@@ -80,6 +80,7 @@ def predict_whole(net: UNetParams, image: np.ndarray) -> SaliencyMap:
     m = net.margin
     ny = next_valid_input(net.depth, h + m)
     nx = next_valid_input(net.depth, w + m)
-    padded = reflect_pad(image, [(0, 0), (m // 2, ny - h - m // 2), (m // 2, nx - w - m // 2)])
+    padded = np.pad(image, [(0, 0), (m // 2, ny - h - m // 2), (m // 2, nx - w - m // 2)],
+                    mode="reflect")
     pred = UNet(net).forward(padded)[0]
     return SaliencyMap(values=pred[:h, :w])

@@ -36,14 +36,12 @@ class MosaicLayout:
 
     ``offsets[i]`` is the (ox, oy) of tile i in the section frame;
     ``extent`` is (width, height); ``tile_extent`` the common (w, h) of the
-    placed tiles.  ``nominal_overlap`` is the overlap (px) between adjacent
-    tiles implied by the offset grid, or None for a single tile.
+    placed tiles.
     """
 
     offsets: list[tuple[int, int]]
     extent: tuple[int, int]
     tile_extent: tuple[int, int]
-    nominal_overlap: int | None = None
 
 
 def plan_layout(tiles, margin: int = 0) -> MosaicLayout:
@@ -88,14 +86,7 @@ def plan_layout(tiles, margin: int = 0) -> MosaicLayout:
             )
             if not touches:
                 log.warning("tile %d at offset (%d, %d) is disjoint from all others", i, ox, oy)
-
-    overlaps = []
-    for vals, size in ((np.unique(xs), tw), (np.unique(ys), th)):
-        deltas = [int(d) for d in np.diff(vals) if d > 0]
-        if deltas:
-            overlaps.append(size - min(deltas))
-    nominal = max(overlaps) if overlaps else None
-    return MosaicLayout(offsets=offsets, extent=extent, tile_extent=(tw, th), nominal_overlap=nominal)
+    return MosaicLayout(offsets=offsets, extent=extent, tile_extent=(tw, th))
 
 
 def _check_margin(margin: int, width: int, height: int) -> None:

@@ -462,23 +462,58 @@ class TestMainEntry:
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "tiles"
         empty.mkdir()
+        write_stack(Stack3D(np.zeros((1, 2, 2)), (50.0, 50.0, 50.0)), tmp_path / "atlas")
         cfg = tmp_path / "cfg"
-        cfg.write_text(f"tiles={empty}\nout={tmp_path}/run\n")
+        cfg.write_text(f"tiles={empty}\nout={tmp_path}/run\natlas={tmp_path}/atlas\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
 
     def test_stage_config_error_writes_report(self, tmp_path, capsys):
+        """A run without ``atlas`` is rejected before stitch: exit 1, and the run dir's
+        ``report.txt`` and ``stages.json`` stay those of the run before."""
         write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
         run_pipeline(pipeline_config(tmp_path, tmp_path / "truth"))
-        (tmp_path / "run" / "connectivity.txt").unlink()  # the stage must run and fail
+        run = tmp_path / "run"
+        (run / "connectivity.txt").unlink()
+        before = {name: (run / name).read_bytes() for name in ("report.txt", "stages.json")}
         cfg = tmp_path / "cfg"
-        cfg.write_text(f"tiles={tmp_path / 'tiles'}\nout={tmp_path / 'run'}\n"
+        cfg.write_text(f"tiles={tmp_path / 'tiles'}\nout={run}\n"
                        "flatfield=none\nmargin=20\natlas=\n")
         assert cli.main(["run", "--config", str(cfg)]) == 1
         assert "requires atlas" in capsys.readouterr().err
-        lines = (tmp_path / "run" / "report.txt").read_text().splitlines()
-        assert len(lines) == 5
-        assert lines[-1].startswith("stage=connectivity status=fail")
-        assert sum("status=skip" in line for line in lines) == 4
+        assert {name: (run / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("argv, match", [
+        (["stitch"], "stitch requires tiles"),
+        (["connectivity"], "connectivity requires atlas"),
+    ], ids=["stitch", "connectivity"])
+    def test_stage_command_without_a_needed_key(self, tmp_path, capsys, argv, match):
+        """A stage subcommand without a key its stage needs exits 1 before the stage runs."""
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, written", [
+        ("flatfield", ("set_CR.hdr", "set_CR.raw")),
+        ("field", ("set_dx.hdr", "set_dx.raw")),
+        ("atlas", ("set.hdr",)),
+        ("cell_model", ("set.manifest",)),
+    ], ids=["flatfield", "field", "atlas", "model"])
+    def test_half_written_file_set_is_validation_error(self, tmp_path, capsys, key, written):
+        """A prefix that names only part of its file set is a validation error: a saved
+        flat field needs both stacks, a field all three, an atlas ``.hdr`` and ``.raw``, a
+        model ``.manifest`` and ``.bin``.  Exit 1 before any stage; no run dir."""
+        (tmp_path / "tiles").mkdir()
+        write_stack(Stack3D(np.zeros((1, 2, 2)), (50.0, 50.0, 50.0)), tmp_path / "atlas")
+        for name in written:
+            (tmp_path / name).write_bytes(b"")
+        raw = dict(tiles=tmp_path / "tiles", out=tmp_path / "run", atlas=tmp_path / "atlas",
+                   cell_backend="unet" if key == "cell_model" else "hessian")
+        raw[key] = tmp_path / "set"
+        cfg = tmp_path / "cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in raw.items()))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert f"{key}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_flatfield_estimate_command(self, tmp_path, capsys):
         from marmopipe.evalsynth import background_tile_stream

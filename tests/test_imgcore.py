@@ -14,7 +14,6 @@ from marmopipe.imgcore import (
     downsample_stack,
     gaussian_blur,
     gaussian_kernel1d,
-    mirror_indices,
     read_stack,
     read_tile,
     read_tile_info,
@@ -64,6 +63,16 @@ class TestTileIO:
             assert back.pixel_pitch == tile.pixel_pitch
             assert back.tile_index == tile.tile_index
             assert back.channel == tile.channel
+
+    @pytest.mark.parametrize("value", [-1.0, 65535.5, 70000.0])
+    def test_write_rejects_out_of_range_pixels(self, tmp_path, value):
+        """A tile holds any float64; ``write_tile`` rejects one whose rounded pixels leave
+        [0, 65535] and writes no file."""
+        pixels = np.full((4, 4), 100.0)
+        pixels[2, 1] = value
+        with pytest.raises(ValueError, match="outside u16 range"):
+            write_tile(make_tile(pixels), tmp_path / "t")
+        assert list(tmp_path.iterdir()) == []
 
     def test_short_payload_rejected(self, tmp_path):
         tile = make_tile(np.zeros((4, 4)))
@@ -337,8 +346,10 @@ class TestGaussianBlur:
 
 
 def test_mirror_indices_small():
-    assert list(mirror_indices(4, 3, 3)) == [3, 2, 1, 0, 1, 2, 3, 2, 1, 0]
-    assert list(mirror_indices(1, 2, 2)) == [0, 0, 0, 0, 0]
+    """The mirror rule the kernels pad by: no edge repeat, period 2(n-1); a single sample
+    repeats."""
+    assert list(np.pad(np.arange(4), (3, 3), mode="reflect")) == [3, 2, 1, 0, 1, 2, 3, 2, 1, 0]
+    assert list(np.pad(np.arange(1), (2, 2), mode="reflect")) == [0, 0, 0, 0, 0]
 
 
 class TestOldFormulaOracle:

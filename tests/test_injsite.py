@@ -262,31 +262,31 @@ class TestRoiFromMask:
         for x, y, z in voxels:
             vol[z, y, x] = 1.0
         from marmopipe.injsite import InjectionMask
-        return InjectionMask(mask=stack_of(vol), t_raw=4500.0, t_low=0.5)
+        return InjectionMask(mask=stack_of(vol))
 
     def test_block_arithmetic(self):
         mask = self.make_mask([(10, 10, 5)])
-        roi = roi_from_mask(mask, pad_px=0)
-        assert sorted(roi.rects) == [5]  # slices without mask voxels get no rectangle
+        roi = roi_from_mask(mask, (1000, 1000), pad_px=0)
+        assert sorted(roi) == [5]  # slices without mask voxels get no rectangle
         s = 50.0 / 1.34
-        assert roi.rects[5][0] == round(10 * s) == 373
-        assert roi.rects[5][2] == round(11 * s)
+        assert roi[5][0] == round(10 * s) == 373
+        assert roi[5][2] == round(11 * s)
 
     def test_full_volume_mask(self):
         vol = np.ones((3, 4, 4))
         from marmopipe.injsite import InjectionMask
-        roi = roi_from_mask(InjectionMask(mask=stack_of(vol), t_raw=0, t_low=0), pad_px=0)
-        assert sorted(roi.rects) == [0, 1, 2]
-        assert roi.rects[0] == (0, 0, round(4 * 50 / 1.34), round(4 * 50 / 1.34))
+        roi = roi_from_mask(InjectionMask(mask=stack_of(vol)), (1000, 1000), pad_px=0)
+        assert sorted(roi) == [0, 1, 2]
+        assert roi[0] == (0, 0, round(4 * 50 / 1.34), round(4 * 50 / 1.34))
 
     def test_empty_mask(self):
         from marmopipe.injsite import InjectionMask
         with pytest.raises(ValueError, match="empty"):
-            roi_from_mask(InjectionMask(mask=stack_of(np.zeros((2, 2, 2))), t_raw=0, t_low=0))
+            roi_from_mask(InjectionMask(mask=stack_of(np.zeros((2, 2, 2)))), (1000, 1000))
 
     def test_padding_and_clip(self):
+        """A rectangle is padded and then clipped to the extent (width, height)."""
         mask = self.make_mask([(0, 0, 1)])
-        roi = roi_from_mask(mask, pad_px=8)
-        assert roi.rects[1][:2] == (0, 0)
-        clipped = roi.clip(100, 100)
-        assert clipped.rects[1][2] <= 100
+        x1 = round(50 / 1.34) + 8
+        assert roi_from_mask(mask, (1000, 1000), pad_px=8)[1] == (0, 0, x1, x1)
+        assert roi_from_mask(mask, (40, 100), pad_px=8)[1] == (0, 0, 40, x1)

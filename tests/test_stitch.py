@@ -48,13 +48,11 @@ class TestPlanLayout:
         t1 = tile_at(np.zeros((720, 720)), 750.0, 0.0, index=1)
         layout = plan_layout([t0, t1])
         assert layout.offsets == [(0, 0), (560, 0)]
-        assert layout.nominal_overlap == 720 - 560 == 160
 
     def test_single_tile(self):
         layout = plan_layout([tile_at(np.zeros((8, 8)), 100.0, 50.0)])
         assert layout.offsets == [(0, 0)]
         assert layout.extent == (8, 8)
-        assert layout.nominal_overlap is None
 
     def test_grid_cut_positions_recovered(self):
         rng = np.random.default_rng(0)
