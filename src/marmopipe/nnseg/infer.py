@@ -1,11 +1,13 @@
 """Whole-slice inference by tiling the valid output region.
 
 The slice is mirror-padded once by half the network margin; every window's
-input is a view into that padded array, so window outputs are bitwise equal
-to the corresponding region of a whole-image pass (the network is fully
-convolutional).  Window output regions abut exactly; ragged edges are
-handled by shifting the last window inward and overwriting identical
-values.
+input is a view into that padded array, so window outputs equal the
+corresponding region of a whole-image pass (the network is fully
+convolutional) up to the last bit: BLAS may sum a matrix product of another
+extent in another order (1e-16 in float64, one float32 step in float32).
+Window output regions abut exactly; ragged edges are handled by shifting the
+last window inward and overwriting equal values.  The slice is cast to the
+parameters' dtype before it is padded, so a loaded model predicts in float32.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def sliding_window_predict(net: UNetParams, image: np.ndarray, nominal_out: int 
     smaller than one window are handled by extra mirror padding; the
     returned map is always height x width.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image, dtype=net.dtype)
     if image.ndim == 2:
         image = image[None]
     c, h, w = image.shape
@@ -73,7 +75,7 @@ def sliding_window_predict(net: UNetParams, image: np.ndarray, nominal_out: int 
 
 def predict_whole(net: UNetParams, image: np.ndarray) -> SaliencyMap:
     """Single-pass inference (pads to the next admissible extent, crops back)."""
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image, dtype=net.dtype)
     if image.ndim == 2:
         image = image[None]
     c, h, w = image.shape

@@ -2,7 +2,9 @@
 
 ``<prefix>.manifest`` lists the architecture line followed by one line per
 parameter (name and shape) in blob order; ``<prefix>.bin`` concatenates the
-arrays as little-endian float32 in exactly that order.
+arrays as little-endian float32 in exactly that order.  ``load_model`` keeps
+that precision: it returns native float32 parameters, so inference with a
+loaded model runs in float32.  ``train`` converts them to float64.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def load_model(prefix) -> UNetParams:
     offset = 0
     for name, shape in entries:
         n = int(np.prod(shape))
-        params[name] = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape).astype(np.float64)
+        params[name] = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).reshape(shape).astype(np.float32)
         offset += n * 4
     return UNetParams(
         depth=depth,

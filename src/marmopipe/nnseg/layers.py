@@ -1,8 +1,9 @@
 """Primitive layer math for the segmentation network.
 
 All activations are single-sample arrays shaped (channels, height, width) in
-float64.  Convolutions are unpadded ("valid"); gradients are exact, which is
-what the finite-difference checks in the test suite verify.
+the dtype of their input: float32 for inference with a loaded model, float64
+for training.  Convolutions are unpadded ("valid"); gradients are exact, which
+is what the finite-difference checks in the test suite verify.
 
 Each 3x3 and 2x2 kernel, forward and backward, is one BLAS matrix product on
 channel-first columns.  A 3x3 layer stacks the 9 shifted views of its

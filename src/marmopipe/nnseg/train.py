@@ -59,11 +59,13 @@ def train(
     Samples are visited in reshuffled epochs drawn from ``seed``, so the
     whole run is reproducible bit for bit.  Returns ``(trained, history)``
     where history holds the per-step loss; the input parameter bundle is not
-    modified.  Raises TrainingDiverged when the loss leaves the finite range.
+    modified.  Training runs in float64 whatever the parameters' dtype, so a
+    loaded (float32) model trains like its float64 upcast.  Raises
+    TrainingDiverged when the loss leaves the finite range.
     """
     if not samples:
         raise ValueError("no training samples")
-    trained = net.copy()
+    trained = net.astype(np.float64)
     model = UNet(trained)
     rng = np.random.default_rng(seed)
     order = np.empty(0, dtype=np.int64)

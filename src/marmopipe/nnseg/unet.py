@@ -63,9 +63,11 @@ def next_valid_input(depth: int, n: int) -> int:
 class UNetParams:
     """Trainable state plus the few architecture knobs that shape it.
 
-    ``params`` maps parameter names to float64 arrays.  ``input_scale`` is
-    applied to raw intensities at the network entry so models remember their
-    own normalization.
+    ``params`` maps parameter names to arrays of one dtype: float64 from
+    ``init_unet`` and ``train``, float32 from ``load_model``.  The forward
+    pass computes in that dtype.  ``input_scale`` is applied to raw
+    intensities at the network entry so models remember their own
+    normalization.
     """
 
     depth: int
@@ -75,12 +77,18 @@ class UNetParams:
     input_scale: float = 1.0
     seed: int = 0
 
-    def copy(self) -> "UNetParams":
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which inference computes in."""
+        return self.params["out_w"].dtype
+
+    def astype(self, dtype) -> "UNetParams":
+        """A copy with every parameter converted to ``dtype`` (always new arrays)."""
         return UNetParams(
             depth=self.depth,
             base_features=self.base_features,
             in_channels=self.in_channels,
-            params={k: v.copy() for k, v in self.params.items()},
+            params={k: v.astype(dtype) for k, v in self.params.items()},
             input_scale=self.input_scale,
             seed=self.seed,
         )
@@ -175,7 +183,7 @@ class UNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network; returns the sigmoid saliency map (1, ho, wo)."""
         net = self.net
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=net.dtype)
         if x.ndim == 2:
             x = x[None]
         if x.shape[0] != net.in_channels:

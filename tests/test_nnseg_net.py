@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marmopipe.evalsynth import generate_cell_slices
 from marmopipe.nnseg import (
     UNet,
     init_unet,
@@ -88,6 +89,13 @@ class TestForward:
         c = UNet(init_unet(2, 4, 1, seed=2)).forward(x)
         assert not np.allclose(a, b)
         assert np.allclose(b, c)
+
+    def test_output_dtype_follows_params(self, tmp_path):
+        net = init_unet(2, 4, 1, seed=4)
+        save_model(net, tmp_path / "m")
+        x = np.random.default_rng(4).random((1, 28, 28))
+        assert UNet(net).forward(x).dtype == np.float64
+        assert UNet(load_model(tmp_path / "m")).forward(x).dtype == np.float32
 
 
 class TestLoss:
@@ -273,6 +281,30 @@ class TestSerialization:
         for k in net.params:
             assert np.allclose(back.params[k], net.params[k], atol=1e-6)
 
+    def test_load_keeps_stored_float32(self, tmp_path):
+        """``init_unet`` gives float64 parameters; ``load_model`` gives the blob's
+        float32, in native byte order."""
+        net = init_unet(2, 4, 2, seed=24)
+        save_model(net, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        assert net.dtype == np.float64 and back.dtype == np.float32
+        assert all(v.dtype == np.float64 for v in net.params.values())
+        assert all(v.dtype == np.float32 and v.dtype.isnative for v in back.params.values())
+        for k in net.params:
+            assert np.array_equal(back.params[k], net.params[k].astype(np.float32))
+
+    def test_float32_saliency_within_bound_of_float64(self, tmp_path):
+        """A loaded model's float32 saliency on a phantom cell slice stays within 1e-5
+        of its float64 upcast's (measured 6.9e-8)."""
+        images, _ = generate_cell_slices(1, 96, 6, amp=20000.0, sigma=2.0, bg=300.0,
+                                         noise=True, seed=0)
+        save_model(init_unet(2, 8, 1, seed=0, input_scale=1 / 65535.0), tmp_path / "m")
+        net = load_model(tmp_path / "m")
+        got = sliding_window_predict(net, images[0]).values
+        want = sliding_window_predict(net.astype(np.float64), images[0]).values
+        assert 0.1 < got.min() and got.max() < 0.9  # unsaturated, so the gap means something
+        assert 0.0 < np.abs(got - want).max() < 1e-5
+
     @staticmethod
     def _older_manifest(net, path, head=("use_batchnorm=0", "dropout_rate=0.0"), extra=()):
         # the marmopipe-unet-1 layout with the batch-norm/dropout header keys
@@ -365,6 +397,25 @@ class TestSlidingWindow:
             tiled = sliding_window_predict(net, img, nominal_out=24).values
             whole = predict_whole(net, img).values
             assert np.abs(tiled - whole).max() < 1e-9, f"case {k}"
+
+    def test_tiling_matches_whole_image_float32(self, tmp_path):
+        """c8's tiled-versus-whole check on a loaded (float32) model: within 1e-6
+        (measured 6.0e-8, one float32 step at 0.5).  ``input_scale`` keeps the
+        saliency away from 0 and 1, where any tolerance would pass."""
+        rng = np.random.default_rng(108)
+        depth = int(rng.integers(2, 4))
+        base = int(rng.choice([4, 6, 8]))
+        save_model(init_unet(depth, base, 1, seed=int(rng.integers(0, 1000)), input_scale=0.01),
+                   tmp_path / "m")
+        net = load_model(tmp_path / "m")
+        for k in range(5):
+            h = int(rng.integers(40, 90))
+            w = int(rng.integers(40, 90))
+            img = rng.random((h, w)) * 100
+            tiled = sliding_window_predict(net, img, nominal_out=28).values
+            whole = predict_whole(net, img).values
+            assert 0.1 < whole.min() and whole.max() < 0.9
+            assert np.abs(tiled - whole).max() < 1e-6, f"case {k}"
 
     def test_constant_input_periodic_output(self):
         # the up-convolutions make the net shift-equivariant only modulo the

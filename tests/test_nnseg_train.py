@@ -7,7 +7,9 @@ from marmopipe.nnseg import (
     build_cell_weight_map,
     build_tracer_weight_map,
     init_unet,
+    load_model,
     sample_training_tiles,
+    save_model,
     train,
 )
 
@@ -45,6 +47,20 @@ class TestTrain:
         train(net, [flat_sample(28)], steps=3, learning_rate=0.5, seed=0)
         for k in before:
             assert np.array_equal(net.params[k], before[k])
+
+    def test_loaded_model_trains_in_float64(self, tmp_path):
+        """A loaded model's float32 parameters train as their float64 upcast does, bit
+        for bit, and the trained bundle is float64."""
+        save_model(init_unet(2, 4, 1, seed=4), tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        samples = [flat_sample(28, seed=s) for s in range(2)]
+        a, ha = train(loaded, samples, steps=6, learning_rate=0.1, seed=3)
+        b, hb = train(loaded.astype(np.float64), samples, steps=6, learning_rate=0.1, seed=3)
+        assert loaded.dtype == np.float32
+        assert ha == hb
+        for k in b.params:
+            assert a.params[k].dtype == np.float64
+            assert np.array_equal(a.params[k], b.params[k])
 
     def test_loss_decreases_on_learnable_target(self):
         # bright square on dark background, label = the square

@@ -1,16 +1,22 @@
 """Run-dir bytes pinned across commits.
 
-``pinned_outputs.json`` holds the sha256 of every file ``run_pipeline`` writes for
-``test_cli.small_spec()`` with the threshold backends and ``flatfield=estimate``.
+Each manifest holds the sha256 of every file ``run_pipeline`` writes for
+``test_cli.small_spec()``:
+
+- ``pinned_outputs.json``: the threshold backends and ``flatfield=estimate``;
+- ``pinned_outputs_unet.json``: the U-Net cell and tracer backends, with tiny
+  untrained models built from fixed seeds, so it pins the float32 inference bits
+  of ``cells.txt``, ``tracer_L`` and ``tracer_mask``.
+
 Left out are ``report.txt`` (seconds) and ``stages.json``, whose keys hash the run's
 own paths and the tiles' mtimes.  A change that alters output bytes on purpose
-regenerates the manifest and says why in CHANGES.md::
+regenerates the manifest it moves, named as in ``RUNS``, and says why in CHANGES.md::
 
-    PYTHONPATH=src python tests/test_pinned_outputs.py
+    PYTHONPATH=src python tests/test_pinned_outputs.py unet
 
-Kernels backed by BLAS (the ``tensordot`` in ``gaussian_blur``) may round differently
-under another numpy or BLAS build, so the manifest records both and the test skips,
-naming both builds, where they differ.
+Kernels backed by BLAS (the ``tensordot`` in ``gaussian_blur``, the U-Net's GEMMs)
+may round differently under another numpy or BLAS build, so each manifest records
+both and its test skips, naming both builds, where they differ.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marmopipe import nnseg
 from marmopipe.cli import run_pipeline
 from rundigest import TIMINGS, file_digests
 from test_cli import pipeline_config, small_spec, write_phantom
 
-MANIFEST = Path(__file__).with_name("pinned_outputs.json")
 SKIP = TIMINGS + ("stages.json",)
 
 
@@ -47,20 +53,50 @@ def pinned_run(root: Path) -> dict[str, str]:
     return file_digests(root / "run", skip=SKIP)
 
 
-def test_run_dir_matches_pinned_manifest(tmp_path):
-    pinned = json.loads(MANIFEST.read_text())
+def pinned_unet_run(root: Path) -> dict[str, str]:
+    write_phantom(root, small_spec())
+    # seeds picked so that both outputs are partial: 3 cells, 7667 of 230400 mask pixels
+    for name, channels, seed in (("cell", 1, 1), ("tracer", 2, 2)):
+        nnseg.save_model(nnseg.init_unet(2, 4, channels, seed=seed, input_scale=1 / 65535.0),
+                         root / f"{name}_model")
+    run_pipeline(pipeline_config(root, root / "truth",
+                                 cell_backend="unet", cell_model=str(root / "cell_model"),
+                                 tracer_backend="unet", tracer_model=str(root / "tracer_model")))
+    return file_digests(root / "run", skip=SKIP)
+
+
+HERE = Path(__file__).parent
+RUNS = {
+    "threshold": (HERE / "pinned_outputs.json", pinned_run),
+    "unet": (HERE / "pinned_outputs_unet.json", pinned_unet_run),
+}
+
+
+def check_manifest(kind: str, tmp_path: Path) -> None:
+    manifest, run = RUNS[kind]
+    pinned = json.loads(manifest.read_text())
     here = builds()
     if {k: pinned[k] for k in here} != here:
-        pytest.skip(f"manifest pinned under numpy {pinned['numpy']} / BLAS {pinned['blas']}; "
+        pytest.skip(f"{manifest.name} pinned under numpy {pinned['numpy']} / BLAS {pinned['blas']}; "
                     f"this is numpy {here['numpy']} / BLAS {here['blas']}")
-    got = pinned_run(tmp_path)
+    got = run(tmp_path)
     changed = sorted(name for name in pinned["files"].keys() | got.keys()
                      if pinned["files"].get(name) != got.get(name))
-    assert not changed, f"run-dir files differ from the pinned manifest: {changed}"
+    assert not changed, f"run-dir files differ from {manifest.name}: {changed}"
+
+
+def test_run_dir_matches_pinned_manifest(tmp_path):
+    check_manifest("threshold", tmp_path)
+
+
+def test_unet_run_dir_matches_pinned_manifest(tmp_path):
+    check_manifest("unet", tmp_path)
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        manifest = dict(builds(), files=pinned_run(Path(tmp)))
-    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {MANIFEST} ({len(manifest['files'])} files)", file=sys.stderr)
+    for name in sys.argv[1:]:
+        manifest, run = RUNS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            written = dict(builds(), files=run(Path(tmp)))
+        manifest.write_text(json.dumps(written, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {manifest} ({len(written['files'])} files)", file=sys.stderr)
