@@ -204,6 +204,9 @@ def validate_config(raw: dict) -> list[str]:
     for backend, model in (("cell_backend", "cell_model"), ("tracer_backend", "tracer_model")):
         if values[backend] == "unet" and not values[model]:
             errors.append(f"{backend}=unet requires {model}=<model prefix>")
+    if values["sources"] == "cells" and values["field"] != "identity":
+        errors.append(f"sources=cells requires field=identity, got field={values['field']!r}: "
+                      "cells.txt holds source-space voxels, which the map stage does not move")
     return errors + _grid_problems(values)
 
 

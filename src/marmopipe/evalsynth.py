@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgcore import Stack3D, Tile2D, U16_MAX, parse_records, write_stack
+from .imgcore import FormatError, Stack3D, Tile2D, U16_MAX, cast_record, parse_records, write_stack
 from .injsite import CellPointCloud
 from .mapping import ConnectivityTable, RegionAtlas
 from .tracerseg import morph_close
@@ -120,19 +120,15 @@ class PhantomSpec:
 
     @classmethod
     def load(cls, path) -> "PhantomSpec":
-        kwargs = {}
-        casts = {f.name: f.type for f in dc_fields(cls)}
-        for key, value in parse_records(Path(path).read_text(), path).items():
-            if key not in casts:
-                raise ValueError(f"unknown phantom key {key!r}")
-            kind = casts[key]
-            if kind == "bool" or kind is bool:
-                kwargs[key] = value in ("1", "True", "true")
-            elif kind == "int" or kind is int:
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
-        return cls(**kwargs)
+        """Read a saved spec, casting each value by the type of its field's default; an
+        unknown key, or a value that does not read, is a FormatError that names the file."""
+        casts = {f.name: (lambda v: v in ("1", "True", "true")) if isinstance(f.default, bool)
+                 else type(f.default) for f in dc_fields(cls)}
+        records = parse_records(Path(path).read_text(), path)
+        unknown = sorted(records.keys() - casts.keys())
+        if unknown:
+            raise FormatError(f"{path}: unknown phantom key {unknown[0]!r}")
+        return cls(**{key: cast_record(records, key, casts[key], path) for key in records})
 
 
 @dataclass

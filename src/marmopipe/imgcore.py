@@ -21,7 +21,8 @@ Conventions used throughout the package:
   ``.manifest``/``.bin``, an atlas a stack plus ``.names``; a field is the stacks
   ``_dx/_dy/_dz`` and a saved flat field ``_CR/_CG``.  A prefix that ends in one of
   its kind's suffixes is taken without it; any other dot is part of the name.  Text
-  headers and sidecars are ``key=value`` records (``parse_records``).
+  headers and sidecars are ``key=value`` records (``parse_records``); names, cells and
+  connectivity tables are rows of whitespace-separated fields (``parse_rows``).
 """
 
 from __future__ import annotations
@@ -68,6 +69,33 @@ def parse_records(text: str, source) -> dict[str, str]:
             raise FormatError(f"{source} line {lineno}: expected key=value, got {line!r}")
         records[key.strip()] = value.strip()
     return records
+
+
+def cast_record(records: dict, key: str, cast, source):
+    """``cast(records[key])``; a missing key, or a value that ``cast`` rejects, is a
+    ``FormatError`` that names ``source`` and ``key``."""
+    if key not in records:
+        raise FormatError(f"{source}: no {key}= line")
+    try:
+        return cast(records[key])
+    except ValueError as exc:
+        raise FormatError(f"{source}: cannot read {key}={records[key]!r}: {exc}") from exc
+
+
+def parse_rows(path, expected: str, read) -> list:
+    """``read(line)`` for each non-blank line of ``path``, stripped, in order; a
+    ``ValueError`` or ``KeyError`` from ``read`` is a ``FormatError`` that names the
+    file, the line number and the ``expected`` form."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.strip()
+        if line:
+            try:
+                rows.append(read(line))
+            except (KeyError, ValueError) as exc:
+                raise FormatError(f"{path} line {lineno}: expected {expected}, "
+                                  f"got {line!r}") from exc
+    return rows
 
 
 def _as_float_grid(a, ndim, name):

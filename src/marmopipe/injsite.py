@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._cc import CONN_6_3D, largest_component_mask
-from .imgcore import FormatError, Stack3D, gaussian_blur
+from .imgcore import Stack3D, gaussian_blur, parse_rows
 
 log = logging.getLogger(__name__)
 
@@ -64,19 +64,11 @@ class CellPointCloud:
     def load(cls, path) -> "CellPointCloud":
         """Read saved cells; a line other than ``x y z score`` is a FormatError that names
         the file and the line."""
-        points, scores = [], []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                x, y, z, s = line.split()
-                points.append((int(x), int(y), int(z)))
-                scores.append(float(s))
-            except ValueError as exc:
-                raise FormatError(f"{path} line {lineno}: expected 'x y z score', "
-                                  f"got {line!r}") from exc
-        return cls(points=np.array(points, dtype=np.int64).reshape(-1, 3),
-                   scores=np.array(scores, dtype=np.float64))
+        def row(line):
+            x, y, z, score = line.split()
+            return (int(x), int(y), int(z)), float(score)
+        rows = parse_rows(path, "'x y z score'", row)
+        return cls(points=[point for point, _ in rows], scores=[score for _, score in rows])
 
 
 def rough_localize(low_cb: Stack3D, t_raw: float = 4500.0, sigma_um: float = 150.0) -> InjectionMask:

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgcore import (FormatError, Stack3D, StackReader, StackWriter, prefix_paths, read_stack,
+from .imgcore import (Stack3D, StackReader, StackWriter, parse_rows, prefix_paths, read_stack,
                       write_stack)
 from .injsite import CellPointCloud
 
@@ -266,18 +266,11 @@ def _labels(a) -> np.ndarray:
 def atlas_names(prefix) -> dict[int, str]:
     """The region names of ``<prefix>.names`` (``<id> <name>`` lines), or none; a line of
     another form is a FormatError that names the file and the line."""
-    names = {}
+    def row(line):
+        rid, name = line.split(None, 1)
+        return int(rid), name
     names_path = prefix_paths(prefix, "atlas")[2]
-    if names_path.exists():
-        for lineno, line in enumerate(names_path.read_text().splitlines(), 1):
-            if line.strip():
-                try:
-                    rid, name = line.split(None, 1)
-                    names[int(rid)] = name.strip()
-                except ValueError as exc:
-                    raise FormatError(f"{names_path} line {lineno}: expected '<id> <name>', "
-                                      f"got {line!r}") from exc
-    return names
+    return dict(parse_rows(names_path, "'<id> <name>'", row)) if names_path.exists() else {}
 
 
 @dataclass
@@ -461,44 +454,22 @@ class ConnectivityTable:
 
     @classmethod
     def load(cls, path) -> "ConnectivityTable":
-        """Read a saved table; a row other than ``src|tgt <region> <value>`` is a
-        FormatError that names the file and the line."""
-        brain = injection = ""
-        meta = {}
-        sources: dict[int, float] = {}
-        targets: dict[int, float] = {}
-        out_src = out_tgt = 0.0
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
+        """Read a saved table; a line other than ``# key=value ...`` or ``src|tgt <region>
+        <value>`` is a FormatError that names the file and the line."""
+        kwargs = {"brain_id": "", "injection_id": "", "sources": {}, "targets": {}, "meta": {}}
+        header = {"brain": ("brain_id", str), "injection": ("injection_id", str),
+                  "outside_src": ("outside_source", float), "outside_tgt": ("outside_target", float)}
+
+        def row(line):
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, value = token.split("=", 1)
-                        if key == "brain":
-                            brain = value
-                        elif key == "injection":
-                            injection = value
-                        elif key == "outside_src":
-                            out_src = float(value)
-                        elif key == "outside_tgt":
-                            out_tgt = float(value)
-                        else:
-                            meta[key] = value
-                continue
-            try:
+                for key, value in (token.split("=", 1) for token in line[1:].split() if "=" in token):
+                    if key in header:
+                        name, cast = header[key]
+                        kwargs[name] = cast(value)
+                    else:
+                        kwargs["meta"][key] = value
+            else:
                 kind, rid, value = line.split()
-                {"src": sources, "tgt": targets}[kind][int(rid)] = float(value)
-            except (KeyError, ValueError) as exc:
-                raise FormatError(f"{path} line {lineno}: expected 'src|tgt <region> <value>', "
-                                  f"got {line!r}") from exc
-        return cls(
-            brain_id=brain,
-            injection_id=injection,
-            sources=sources,
-            targets=targets,
-            outside_source=out_src,
-            outside_target=out_tgt,
-            meta=meta,
-        )
+                kwargs[{"src": "sources", "tgt": "targets"}[kind]][int(rid)] = float(value)
+        parse_rows(path, "'# key=value ...' or 'src|tgt <region> <value>'", row)
+        return cls(**kwargs)

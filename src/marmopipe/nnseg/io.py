@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..imgcore import parse_records, prefix_paths
+from ..imgcore import FormatError, cast_record, parse_records, prefix_paths
 from .unet import UNetParams, param_shapes
 
 
@@ -37,36 +37,43 @@ def save_model(net: UNetParams, prefix) -> Path:
     return manifest
 
 
+def _shape(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split())
+
+
 def load_model(prefix) -> UNetParams:
+    """Read a saved model; a manifest or blob that does not match its format is a
+    FormatError that names the manifest."""
     manifest, blob = prefix_paths(prefix, "model")
-    head = parse_records(manifest.read_text(), manifest)
+    head = {"use_batchnorm": "0", **parse_records(manifest.read_text(), manifest)}
     # a batch-norm model run without its normalization would give
     # silently wrong saliency maps; dropout needs nothing at inference
     if any(key.startswith("stat:") for key in head):
-        raise ValueError(f"{manifest}: batch-norm statistics are not supported")
-    entries = [(key[len("param:"):], tuple(int(v) for v in value.split()))
-               for key, value in head.items() if key.startswith("param:")]
+        raise FormatError(f"{manifest}: batch-norm statistics are not supported")
+    entries = [(key[len("param:"):], cast_record(head, key, _shape, manifest))
+               for key in head if key.startswith("param:")]
     if head.get("format") != "marmopipe-unet-1":
-        raise ValueError(f"unknown model format in {manifest}")
-    if int(head.get("use_batchnorm", "0")):
-        raise ValueError(f"{manifest}: batch normalization is not supported")
+        raise FormatError(f"unknown model format in {manifest}")
+    if cast_record(head, "use_batchnorm", int, manifest):
+        raise FormatError(f"{manifest}: batch normalization is not supported")
 
-    depth, base, in_channels = (int(head[k]) for k in ("depth", "base_features", "in_channels"))
+    depth, base, in_channels = (cast_record(head, key, int, manifest)
+                                for key in ("depth", "base_features", "in_channels"))
     want = param_shapes(depth, base, in_channels)
     arch = f"depth={depth} base_features={base} in_channels={in_channels}"
     for name, shape in entries:
         if name not in want:
-            raise ValueError(f"{manifest}: parameter {name} is not part of {arch}")
+            raise FormatError(f"{manifest}: parameter {name} is not part of {arch}")
         if shape != want[name]:
-            raise ValueError(f"{manifest}: {name} has shape {shape}, {arch} needs {want[name]}")
+            raise FormatError(f"{manifest}: {name} has shape {shape}, {arch} needs {want[name]}")
     missing = sorted(set(want) - {name for name, _ in entries})
     if missing:
-        raise ValueError(f"{manifest}: {arch} needs parameter {missing[0]}, which is not listed")
+        raise FormatError(f"{manifest}: {arch} needs parameter {missing[0]}, which is not listed")
 
     raw = blob.read_bytes()
     expect = 4 * sum(int(np.prod(shape)) for _, shape in entries)
     if expect != len(raw):
-        raise ValueError(f"{manifest}: model blob {blob} has {len(raw)} bytes, manifest expects {expect}")
+        raise FormatError(f"{manifest}: model blob {blob} has {len(raw)} bytes, manifest expects {expect}")
     params = {}
     offset = 0
     for name, shape in entries:
@@ -78,6 +85,6 @@ def load_model(prefix) -> UNetParams:
         base_features=base,
         in_channels=in_channels,
         params=params,
-        input_scale=float(head["input_scale"]),
-        seed=int(head["seed"]),
+        input_scale=cast_record(head, "input_scale", float, manifest),
+        seed=cast_record(head, "seed", int, manifest),
     )

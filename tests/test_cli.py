@@ -125,6 +125,15 @@ class TestConfig:
     def test_value_validation(self, key, value):
         assert any(key in e for e in validate_config({key: value}))
 
+    def test_cell_sources_need_identity_field(self, tmp_path):
+        """``cells.txt`` holds source-space voxels and the map stage moves only stacks, so
+        ``sources=cells`` through a field would count cells in the wrong regions."""
+        save_field(DisplacementField(np.zeros((3, 1, 2, 2)), (1.0, 1.0, 1.0)), tmp_path / "f")
+        errors = validate_config({"sources": "cells", "field": str(tmp_path / "f")})
+        assert len(errors) == 1 and "sources=cells" in errors[0] and "field=" in errors[0]
+        assert validate_config({"sources": "mask", "field": str(tmp_path / "f")}) == []
+        assert validate_config({"sources": "cells"}) == []
+
     def test_empty_field_validation(self):
         assert any(e.startswith("field:") for e in validate_config({"field": ""}))
         assert not any(e.startswith("field:") for e in validate_config({"field": "identity"}))
@@ -951,8 +960,8 @@ class TestStreamedStages:
 class TestWholeVolumeReads:
     """No stage reads a high-resolution stack whole: only the 50 µm ``low_CB`` is."""
 
-    @pytest.mark.parametrize("sources", ["mask", "cells"])
-    @pytest.mark.parametrize("field", ["identity", "warp"])
+    @pytest.mark.parametrize("field, sources", [
+        ("identity", "mask"), ("identity", "cells"), ("warp", "mask")])
     def test_no_high_resolution_stack_is_read_whole(self, tmp_path, monkeypatch, field, sources):
         _, truth = write_phantom(tmp_path, small_spec(n_cells=4, n_axons=1))
         overrides = dict(sources=sources)
@@ -991,7 +1000,7 @@ class TestStageReads:
 
     @pytest.mark.parametrize("field, sources, flatfield", [
         *(pytest.param(field, sources, "none", id=f"{field}-{sources}")
-          for field in ("identity", "warp") for sources in ("mask", "cells")),
+          for field, sources in (("identity", "mask"), ("identity", "cells"), ("warp", "mask"))),
         pytest.param("identity", "mask", "estimate", id="identity-mask-estimate"),
     ])
     def test_stage_opens_only_declared_run_dir_files(self, tmp_path, monkeypatch, field,

@@ -258,6 +258,30 @@ class TestFileSets:
         with pytest.raises(FormatError, match=rf"{re.escape(str(path))} line 4: .*'{stray}'"):
             read(path)
 
+    @pytest.mark.parametrize("kind, old, new, key", [
+        ("table", r"outside_src=\S+", "outside_src=zero", "outside_src"),
+        ("manifest", r"depth=\d+\n", "", "depth"),
+        ("spec", r"n_cells=\d+", "n_cells=x", "n_cells"),
+    ], ids=["table", "manifest", "spec"])
+    def test_value_that_does_not_read_names_file_and_key(self, tmp_path, kind, old, new, key):
+        """A table header value that is not a number, a manifest without ``depth=`` and a
+        spec with ``n_cells=x`` name the file and the key they could not read."""
+        if kind == "table":
+            mapping.ConnectivityTable("b", "i", sources={1: 2.0}, targets={1: 3.0}).save(
+                tmp_path / "t.txt")
+            path, read = tmp_path / "t.txt", mapping.ConnectivityTable.load
+        elif kind == "manifest":
+            nnseg.save_model(nnseg.init_unet(1, 2, 1), tmp_path / "m")
+            path, read = tmp_path / "m.manifest", nnseg.load_model
+        else:
+            PhantomSpec().save(tmp_path / "spec.txt")
+            path, read = tmp_path / "spec.txt", PhantomSpec.load
+        text, count = re.subn(old, new, path.read_text())
+        assert count == 1
+        path.write_text(text)
+        with pytest.raises(FormatError, match=rf"{re.escape(str(path))}\b.*\b{key}\b"):
+            read(path)
+
 
 class TestDownsample:
     def test_2x2_mean(self):
