@@ -688,8 +688,11 @@ def _cmd_flatfield(args) -> int:
 
 def _flag_keys(stage: Stage) -> tuple[str, ...]:
     """A stage subcommand's config flags besides ``--out`` (every other key keeps its
-    default): its stage's params, plus ``threads`` where sections run in parallel."""
-    return (*stage.params, *(("threads",) if stage.name in ("stitch", "tracer") else ()))
+    default): its stage's params, plus ``threads`` where sections run in parallel, and
+    for connectivity the ``field`` the map stage ran with, so that ``sources=cells`` is
+    checked against it."""
+    extra = {"stitch": ("threads",), "tracer": ("threads",), "connectivity": ("field",)}
+    return (*stage.params, *extra.get(stage.name, ()))
 
 
 def _cmd_train(args) -> int:

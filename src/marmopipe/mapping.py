@@ -15,10 +15,13 @@ this module work one z-slice at a time, never on a whole volume.
 ``_PullBack`` resamples one reference slice from the source slab its sample
 positions touch; ``map_stack`` runs it over a saved field and a source stack
 on disk, reading each field slice and each source slab as it needs them, and
-``apply_field`` runs it over arrays in memory.  When an axis's fractional
-index is 0 across a whole slice, its upper corner has weight 0 everywhere and
-would add only 0.0, so trilinear sampling visits the floor corner of that axis
-alone; the result is bit-identical to visiting all eight corners.  A y-only
+``apply_field`` runs it over arrays in memory.  Two rules keep a slice cheap
+without changing a bit of it.  An axis whose offset plane is all zero is
+sampled along one grid line: its position is a scalar (z), a column (y) or a
+row (x), since adding a zero offset changes nothing, and its floor, fraction
+and range test stay that small.  An axis whose fraction is all zero visits its
+floor corner alone: its upper corner has weight 0 everywhere and would add
+only 0.0.  Each visited corner is one flat gather from the slab.  A y-only
 field needs two gathers per slice and a zero field on the source grid one.
 ``RegionTally`` adds up an atlas's regions one slice at a time;
 ``tally_regions`` drives it over stacks on disk or arrays in memory.
@@ -108,11 +111,22 @@ def load_field(prefix) -> DisplacementField:
     return DisplacementField(disp=disp, voxel_size=reader.voxel_size)
 
 
-def _gather(data: np.ndarray, zi, yi, xi, valid) -> np.ndarray:
-    out = np.zeros(zi.shape, dtype=np.float64)
-    if valid.any():
-        out[valid] = data[zi[valid], yi[valid], xi[valid]]
-    return out
+def _inside(start, offset: int, n: int):
+    """Where ``start + offset`` lies in ``0..n-1``, or None if it does everywhere."""
+    if np.min(start) >= -offset and np.max(start) < n - offset:
+        return None
+    return (start >= -offset) & (start < n - offset)
+
+
+def _both(a, b):
+    """The elementwise and of two masks, either of which may be None (true everywhere)."""
+    return b if a is None else a if b is None else a & b
+
+
+def _times(a, b):
+    """The product of two weights, either of which may be None (1.0 everywhere, which
+    multiplies no bit)."""
+    return b if a is None else a if b is None else a * b
 
 
 class _PullBack:
@@ -122,6 +136,17 @@ class _PullBack:
     for the range of slices its sample positions touch, clipped to the source.
     ``nearest`` is for label/mask volumes, ``linear`` for intensities; samples
     falling outside the source domain become 0.
+
+    An axis whose offset plane is all zero is sampled along one grid line: its
+    position, start index, fraction and range test are a scalar (z), a (ny, 1) column
+    (y) or a (1, nx) row (x) instead of a whole slice.  An axis whose fraction is all
+    zero visits its floor corner alone.  Each corner is one gather: the flat slab
+    index ``((z - lo) * ny + y) * nx + x`` is built once per slice and shifted by the
+    corner's constant offset, indices off the slab are clipped, and the corner adds
+    ``weight * value`` only where its voxel lies in the source and its weight is not
+    0, so what a clipped index reads never reaches the output.  The whole-slice
+    arrays (the flat index, the gathered values, the output and each moving axis's
+    position, start and lower weight) are buffers kept from slice to slice.
     """
 
     def __init__(self, shape, voxel_size, source_shape, source_voxel, slab, interpolation):
@@ -137,20 +162,45 @@ class _PullBack:
         self.congruent = tuple(shape) == self.source_shape and np.allclose(
             voxel_size, source_voxel, rtol=0, atol=1e-12
         )
+        self._index = np.empty((ny, nx), dtype=np.int64)
+        self._value = np.empty((ny, nx), dtype=np.float64)
+        self._out = np.empty((ny, nx), dtype=np.float64)
+        self._moving = {}  # axis -> its position, start and lower-weight buffers
 
-    def positions(self, z: int, disp):
-        """Continuous sampling indices ``(ci_z, ci_y, ci_x)`` into the source grid,
-        each (ny, nx), for reference slice ``z`` with offsets ``disp``."""
-        dx, dy, dz = disp
-        sx, sy, sz = self.source_voxel
-        if self.congruent:
-            return z + dz / sz, self.yy + dy / sy, self.xx + dx / sx
-        vx, vy, vz = self.voxel_size
-        return (
-            ((z + 0.5) * vz + dz) / sz - 0.5,
-            ((self.yy + 0.5) * vy + dy) / sy - 0.5,
-            ((self.xx + 0.5) * vx + dx) / sx - 0.5,
-        )
+    def _axis(self, axis: int, grid, disp, v: float, s: float):
+        """One axis of the sampling positions: reference indices ``grid`` (a scalar,
+        column or row) of ``v`` µm voxels, moved by the (ny, nx) ``disp`` µm, as
+        indices into ``s`` µm source voxels.  Returns the integer start index and the
+        ``(offset, weight)`` corners: the nearest index, or the floor and, unless every
+        fraction is 0, the index above it.  A weight of 1.0 everywhere is None.
+
+        With ``disp`` all zero the axis keeps its grid line: adding 0.0 would change
+        no bit.  A moving axis is computed in its buffers, which the next call reuses.
+        """
+        nearest = self.interpolation == "nearest"
+        to_index = np.rint if nearest else np.floor
+        if not disp.any():
+            ci = grid if self.congruent else (grid + 0.5) * v / s - 0.5
+            start = to_index(ci)
+            frac = None if nearest else ci - start
+            start, low = start.astype(np.int64), None
+        else:
+            if axis not in self._moving:
+                self._moving[axis] = (np.empty_like(self._value), np.empty_like(self._index),
+                                      np.empty_like(self._value))
+            ci, start, low = self._moving[axis]
+            if self.congruent:
+                np.divide(disp, s, out=ci)
+                ci += grid
+            else:
+                np.add(disp, (grid + 0.5) * v, out=ci)
+                ci /= s
+                ci -= 0.5
+            to_index(ci, out=start, casting="unsafe")
+            frac = None if nearest else np.subtract(ci, start, out=ci)
+        if frac is None or not frac.any():
+            return start, ((0, None),)
+        return start, ((0, np.subtract(1.0, frac, out=low)), (1, frac))
 
     def _slab(self, lo: int, hi: int):
         """Source slices ``lo:hi`` clipped to the source, and the first one's index."""
@@ -160,37 +210,47 @@ class _PullBack:
         return self.slab(lo, hi), lo
 
     def __call__(self, z: int, disp) -> np.ndarray:
-        """The (ny, nx) float64 resampled reference slice ``z``."""
+        """The (ny, nx) float64 resampled reference slice ``z`` with offsets ``disp``
+        (``dx``, ``dy``, ``dz`` planes); the next call overwrites it."""
         nz, ny, nx = self.source_shape
-        ci_z, ci_y, ci_x = self.positions(z, disp)
+        (vx, vy, vz), (sx, sy, sz) = self.voxel_size, self.source_voxel
+        (z0, corners_z), (y0, corners_y), (x0, corners_x) = (
+            self._axis(0, float(z), disp[2], vz, sz), self._axis(1, self.yy, disp[1], vy, sy),
+            self._axis(2, self.xx, disp[0], vx, sx))
+        out, index, value = self._out, self._index, self._value
+        data, lo = self._slab(np.min(z0), np.max(z0) + len(corners_z))
+        if data.size == 0:
+            out.fill(0.0)
+            return out
+        flat = np.asarray(data, dtype=np.float64).reshape(-1)
+        np.multiply(y0, nx, out=index)
+        index += (z0 - lo) * (ny * nx) + x0
+        inside_z, inside_y, inside_x = (
+            [_inside(start, offset, n) for offset, _ in corners]
+            for start, corners, n in ((z0, corners_z, nz), (y0, corners_y, ny),
+                                      (x0, corners_x, nx)))
         if self.interpolation == "nearest":
-            zi = np.rint(ci_z).astype(np.int64)
-            yi = np.rint(ci_y).astype(np.int64)
-            xi = np.rint(ci_x).astype(np.int64)
-            valid = (zi >= 0) & (zi < nz) & (yi >= 0) & (yi < ny) & (xi >= 0) & (xi < nx)
-            data, lo = self._slab(zi.min(), zi.max() + 1)
-            return _gather(data, zi - lo, yi, xi, valid)
-        z0 = np.floor(ci_z).astype(np.int64)
-        y0 = np.floor(ci_y).astype(np.int64)
-        x0 = np.floor(ci_x).astype(np.int64)
-        fz, fy, fx = ci_z - z0, ci_y - y0, ci_x - x0
-        # an axis whose fraction is 0 on the whole slice puts weight 0 on its
-        # upper corner, which would only add 0.0: visit its floor corner alone
-        corners_z, corners_y, corners_x = (
-            ((0, 1.0 - f), (1, f)) if f.any() else ((0, 1.0 - f),) for f in (fz, fy, fx)
-        )
-        data, lo = self._slab(z0.min(), z0.max() + len(corners_z))
-        out = np.zeros(ci_z.shape, dtype=np.float64)
-        for dz, wz in corners_z:
-            for dy, wy in corners_y:
-                for dx, wx in corners_x:
-                    zi, yi, xi = z0 + dz, y0 + dy, x0 + dx
-                    weight = wz * wy * wx
-                    valid = (
-                        (zi >= 0) & (zi < nz) & (yi >= 0) & (yi < ny)
-                        & (xi >= 0) & (xi < nx) & (weight != 0)
-                    )
-                    out += weight * _gather(data, zi - lo, yi, xi, valid)
+            np.take(flat, index, mode="clip", out=out)
+            valid = _both(_both(inside_z[0], inside_y[0]), inside_x[0])
+            if valid is not None:
+                np.copyto(out, 0.0, where=~valid)
+            return out
+        out.fill(0.0)
+        shift = 0
+        for (dz, wz), in_z in zip(corners_z, inside_z):
+            for (dy, wy), in_y in zip(corners_y, inside_y):
+                w_zy, in_zy = _times(wz, wy), _both(in_z, in_y)
+                for (dx, wx), in_x in zip(corners_x, inside_x):
+                    corner = (dz * ny + dy) * nx + dx
+                    if corner != shift:
+                        index += corner - shift
+                        shift = corner
+                    np.take(flat, index, mode="clip", out=value)
+                    weight, valid = _times(w_zy, wx), _both(in_zy, in_x)
+                    if weight is not None:
+                        valid = _both(valid, weight != 0)
+                        np.multiply(weight, value, out=value, where=valid)
+                    np.add(out, value, out=out, where=True if valid is None else valid)
         return out
 
 

@@ -501,6 +501,19 @@ class TestMainEntry:
         assert match in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_connectivity_command_checks_cell_sources_against_the_field(self, tmp_path,
+                                                                         capsys):
+        """``connectivity --sources cells --field F`` is rejected as ``run`` rejects it,
+        since ``cells.txt`` holds source-space voxels that the map stage does not move:
+        exit 1 before the stage runs."""
+        save_field(DisplacementField(np.zeros((3, 1, 2, 2)), (1.0, 1.0, 1.0)), tmp_path / "f")
+        write_stack(Stack3D(np.ones((1, 2, 2)), (1.0, 1.0, 1.0)), tmp_path / "atlas")
+        argv = ["connectivity", "--out", str(tmp_path / "run"), "--atlas",
+                str(tmp_path / "atlas"), "--sources", "cells", "--field", str(tmp_path / "f")]
+        assert cli.main(argv) == 1
+        assert "sources=cells requires field=identity" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, written", [
         ("flatfield", ("set_CR.hdr", "set_CR.raw")),
         ("field", ("set_dx.hdr", "set_dx.raw")),

@@ -301,3 +301,56 @@ def test_apply_field_memory_is_bounded_by_slices(interpolation):
     finally:
         tracemalloc.stop()
     assert peak < 4 * stack.data.nbytes
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "nearest"])
+def test_map_stack_peak_is_a_few_slices(tmp_path, interpolation):
+    """One ``map_stack`` call through a y-only field holds a few reference slices at a
+    time, not one array per corner: intensities on the field's own grid (linear), and
+    a coarse u16 mask mapped onto it (nearest)."""
+    import tracemalloc
+    rng = np.random.default_rng(23)
+    shape, voxel = (6, 120, 96), (1.34, 1.34, 50.0)
+    nz, ny, nx = shape
+    disp = np.zeros((3, *shape))
+    disp[1] = 3.0 * np.cos(np.arange(nz) / 4.0)[:, None, None] * np.sin(np.arange(nx) / 9.0)
+    save_field(DisplacementField(disp, voxel), tmp_path / "field")
+    if interpolation == "linear":
+        source = Stack3D(rng.random(shape) * 100.0, voxel)
+    else:
+        source = Stack3D(rng.integers(0, 3, (4, 3, 6)).astype(float), (50.0, 50.0, 50.0),
+                         dtype="u16")
+    write_stack(source, tmp_path / "src")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        map_stack(tmp_path / "src", tmp_path / "field", interpolation, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * ny * nx * 8
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "nearest"])
+def test_non_finite_source_voxels_stay_where_they_are(interpolation):
+    """``inf`` and ``NaN`` source voxels reach only the samples that weigh them: every
+    sample outside the source is exactly 0.0, even where a clipped index would read a
+    non-finite voxel, and a weight-0 upper corner on an ``inf`` adds no ``NaN``."""
+    rng = np.random.default_rng(31)
+    source = rng.random((3, 4, 5))
+    source[1, 2, :] = np.inf
+    source[0, 0, 0] = source[2, 3, 4] = source[1, 3, 0] = np.nan
+    field = DisplacementField(np.zeros((3, 3, 4, 5)), (1.0, 1.0, 1.0))
+    field.disp[1] = 0.25     # a y fraction on the slice, so upper y corners are visited
+    field.disp[1, 1, 1] = 0.0  # on source row y = 1: the upper corner is the inf row, weight 0
+    outside = np.zeros((3, 4, 5), dtype=bool)
+    for where, axis, offset in (((0, slice(None), 0), 0, -10.0), ((2, slice(None), 4), 0, 10.0),
+                                ((2, 0, slice(None)), 2, -100.0), ((0, 3, slice(1, 4)), 1, 5.0)):
+        field.disp[(axis,) + where] = offset
+        outside[where] = True
+    with np.errstate(invalid="raise"):
+        out = apply_field(stack_of(source), field, interpolation=interpolation).data
+    assert np.array_equal(out[outside], np.zeros(outside.sum()))
+    assert not np.signbit(out[outside]).any()
+    assert np.array_equal(out[1, 1], source[1, 1])
