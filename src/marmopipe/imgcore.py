@@ -11,6 +11,10 @@ Conventions used throughout the package:
   when writing ``u16`` payloads, and ``write_tile`` is where a tile's [0, 65535]
   range is checked.
 * Every kernel that mirror-extends an array does it by ``np.pad(mode="reflect")``.
+* ``gaussian_blur`` sums its taps elementwise in a fixed order (the centre tap, then
+  each symmetric pair from the outermost in; ``_convolve_axis``) and calls no BLAS
+  routine, so its bits do not depend on the BLAS build and it holds a few copies of
+  the image, not one per tap.
 * A stack moves between disk and memory one z-slice at a time through
   ``StackWriter`` and ``StackReader``, or a slab of slices at a time through
   ``StackReader.slab``; ``write_stack`` and ``read_stack`` pass whole stacks
@@ -525,12 +529,23 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
 
 
 def _convolve_axis(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    radius = len(kernel) // 2
+    """One axis of ``gaussian_blur``, in the order its docstring gives, into one output
+    and one reused temporary; ``kernel`` is symmetric with odd length 2r+1."""
+    r, n = len(kernel) // 2, a.shape[axis]
     widths = [(0, 0)] * a.ndim
-    widths[axis] = (radius, radius)
-    padded = np.pad(np.asarray(a, dtype=np.float64), widths, mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=axis)
-    return np.tensordot(windows, kernel, axes=([-1], [0]))
+    widths[axis] = (r, r)
+    padded = np.pad(a, widths, mode="reflect")
+
+    def tap(j):
+        return padded[(slice(None),) * axis + (slice(j, j + n),)]
+
+    out = np.multiply(tap(r), kernel[r])
+    pair = np.empty_like(out)
+    for j in range(r):
+        np.add(tap(j), tap(2 * r - j), out=pair)
+        pair *= kernel[j]
+        out += pair
+    return out
 
 
 def gaussian_blur(image, sigma, voxel_size=1.0) -> np.ndarray:
@@ -540,6 +555,12 @@ def gaussian_blur(image, sigma, voxel_size=1.0) -> np.ndarray:
     like the array axes) converts it to fractional voxel units per axis.
     Pass ``voxel_size=1.0`` to give sigma directly in pixels.  The kernel is
     truncated at 4*sigma and renormalized, so a constant image is invariant.
+
+    Axes are filtered in array order.  Along each, with ``p`` the mirror-padded input
+    and ``k`` the 2r+1 taps, ``out = k[r]*p[r:r+n]`` and then, for j = 0..r-1,
+    ``out += k[j]*(p[j:j+n] + p[2r-j:2r-j+n])``: elementwise numpy operations in that
+    fixed order, no BLAS routine, so the result does not depend on the BLAS build.
+    An axis shorter than the radius is mirrored as often as it needs.
     """
     a = np.asarray(image, dtype=np.float64)
     if sigma <= 0:

@@ -111,21 +111,59 @@ def hessian_cell_filter(image: np.ndarray, sigmas) -> np.ndarray:
     if any(s <= 0 for s in sigmas):
         raise ValueError("scales must be > 0")
 
+    # Each scale is computed in place in buffers kept across scales; every step is the
+    # elementwise operation, in the order, of
+    #   hxx = p[1:-1, 2:] - 2.0 * g + p[1:-1, :-2]  (hyy likewise along y)
+    #   hxy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
+    #   mean = 0.5 * (hxx + hyy);  root = np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy ** 2)
+    #   l1, l2 = mean ± root, ordered |l1| >= |l2| (l1 = mean - root where that is larger)
+    #   resp = -l1 * np.abs(l2) / (np.abs(l1) + HESSIAN_EPS) * (l2 < 0)
+    # so the response keeps that expression's bits.
+    hxx, hyy, hxy, mean, root, resp = (np.empty_like(image) for _ in range(6))
+    swap = np.empty(image.shape, dtype=bool)
     best = None
     for sigma in sigmas:
         g = gaussian_blur(image, sigma)
         p = np.pad(g, 1, mode="reflect")
-        hxx = p[1:-1, 2:] - 2.0 * g + p[1:-1, :-2]
-        hyy = p[2:, 1:-1] - 2.0 * g + p[:-2, 1:-1]
-        hxy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
-        mean = 0.5 * (hxx + hyy)
-        root = np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy ** 2)
-        la, lb = mean + root, mean - root
-        swap = np.abs(lb) > np.abs(la)
-        l1 = np.where(swap, lb, la)
-        l2 = np.where(swap, la, lb)
-        resp = -l1 * np.abs(l2) / (np.abs(l1) + HESSIAN_EPS) * (l2 < 0)
-        best = resp if best is None else np.maximum(best, resp)
+        g *= 2.0
+        np.subtract(p[1:-1, 2:], g, out=hxx)
+        hxx += p[1:-1, :-2]
+        np.subtract(p[2:, 1:-1], g, out=hyy)
+        hyy += p[:-2, 1:-1]
+        np.subtract(p[2:, 2:], p[2:, :-2], out=hxy)
+        hxy -= p[:-2, 2:]
+        hxy += p[:-2, :-2]
+        hxy *= 0.25
+        del g, p  # not held through the next scale's blur
+        np.add(hxx, hyy, out=mean)
+        mean *= 0.5
+        np.subtract(hxx, hyy, out=root)
+        np.square(root, out=root)
+        root *= 0.25
+        np.square(hxy, out=hxy)
+        root += hxy
+        np.sqrt(root, out=root)
+        l1, l2 = hxx, hyy
+        np.add(mean, root, out=l1)
+        np.subtract(mean, root, out=l2)
+        np.abs(l2, out=mean)
+        np.abs(l1, out=root)
+        np.greater(mean, root, out=swap)
+        np.copyto(mean, l1, where=swap)
+        np.copyto(l1, l2, where=swap)
+        np.copyto(l2, mean, where=swap)
+        np.negative(l1, out=resp)
+        np.abs(l2, out=hxy)
+        resp *= hxy
+        np.abs(l1, out=hxy)
+        hxy += HESSIAN_EPS
+        resp /= hxy
+        np.less(l2, 0, out=swap)
+        resp *= swap
+        if best is None:
+            best, resp = resp, np.empty_like(image)
+        else:
+            np.maximum(best, resp, out=best)
     return best
 
 

@@ -369,6 +369,83 @@ class TestGaussianBlur:
             gaussian_blur(np.zeros((4, 4)), 0.0)
 
 
+def _mirror(n: int, radius: int) -> np.ndarray:
+    """Indices of a mirror extension without edge repeat, folded with period 2(n-1) as
+    often as the radius needs; a single sample repeats."""
+    idx = np.arange(-radius, n + radius)
+    if n == 1:
+        return np.zeros_like(idx)
+    j = np.abs(idx) % (2 * (n - 1))
+    return np.where(j > n - 1, 2 * (n - 1) - j, j)
+
+
+def per_tap_blur(image, sigma, voxel_size) -> np.ndarray:
+    """``gaussian_blur`` in its documented order, one axis and one pair of taps at a
+    time: ``out = k[r]*p[r:r+n]``, then ``out = out + k[j]*(p[j:j+n] + p[2r-j:2r-j+n])``
+    for j = 0..r-1."""
+    out = np.asarray(image, dtype=np.float64)
+    for axis, v in enumerate(voxel_size):
+        k = gaussian_kernel1d(sigma / v)
+        r, n = len(k) // 2, out.shape[axis]
+        p = np.take(np.moveaxis(out, axis, 0), _mirror(n, r), axis=0)
+        acc = k[r] * p[r:r + n]
+        for j in range(r):
+            acc = acc + k[j] * (p[j:j + n] + p[2 * r - j:2 * r - j + n])
+        out = np.moveaxis(acc, 0, axis)
+    return out
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes ``fn(*args)`` allocates at its peak, as tracemalloc counts them."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFixedOrderBlur:
+    """The blur sums its taps elementwise in a fixed order: no BLAS routine, bits that
+    do not depend on the BLAS build, and no K-fold copy of the image."""
+
+    @pytest.mark.parametrize("shape, sigma, voxel_size", [
+        ((57,), 2.5, (1.0,)),
+        ((31, 44), 1.5, (1.0, 1.0)),
+        ((1, 5), 5.0, (1.0, 1.0)),
+        ((3, 1), 5.0, (1.0, 1.0)),
+        ((6, 17, 23), 3.0, (2.0, 1.0, 0.5)),
+    ])
+    def test_equals_per_tap_loop(self, shape, sigma, voxel_size):
+        img = np.random.default_rng(31).random(shape) * 1000.0
+        got = gaussian_blur(img, sigma, voxel_size=voxel_size)
+        assert np.array_equal(got, per_tap_blur(img, sigma, voxel_size))
+
+    def test_calls_no_blas(self, monkeypatch):
+        from marmopipe.injsite import hessian_cell_filter
+
+        def blas(*args, **kwargs):
+            raise AssertionError("BLAS-backed routine called")
+        for name in ("tensordot", "dot", "matmul", "einsum", "inner"):
+            monkeypatch.setattr(np, name, blas)
+        img = np.random.default_rng(32).random((40, 36))
+        gaussian_blur(img, 5.0)
+        gaussian_blur(img[None].repeat(3, axis=0), 1.0, voxel_size=(2.0, 1.0, 1.0))
+        hessian_cell_filter(img, (2.0, 3.0, 4.0, 5.0))
+
+    def test_blur_peak_is_a_few_images(self):
+        img = np.random.default_rng(33).random((300, 300))
+        assert traced_peak(gaussian_blur, img, 5.0) <= 6 * img.nbytes
+
+    def test_hessian_peak_is_a_few_windows(self):
+        from marmopipe.injsite import hessian_cell_filter
+        img = np.random.default_rng(34).random((300, 300))
+        assert traced_peak(hessian_cell_filter, img, (2.0, 3.0, 4.0, 5.0)) <= 12 * img.nbytes
+
+
 def test_mirror_indices_small():
     """The mirror rule the kernels pad by: no edge repeat, period 2(n-1); a single sample
     repeats."""

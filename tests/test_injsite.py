@@ -3,8 +3,9 @@ import pytest
 
 from marmopipe._cc import CONN_6_3D, label_components, largest_component_mask
 from marmopipe.evalsynth import reference_largest_component, reference_rough_localize
-from marmopipe.imgcore import Stack3D
+from marmopipe.imgcore import Stack3D, gaussian_blur
 from marmopipe.injsite import (
+    HESSIAN_EPS,
     CellPointCloud,
     detect_cells,
     hessian_cell_filter,
@@ -189,6 +190,33 @@ class TestHessianFilter:
         multi = hessian_cell_filter(img, (2.0, 3.0, 4.0))
         singles = [hessian_cell_filter(img, (s,)) for s in (2.0, 3.0, 4.0)]
         assert np.array_equal(multi, np.maximum.reduce(singles))
+
+    @pytest.mark.parametrize("shape", [(45, 38), (1, 5), (3, 1)])
+    def test_in_place_scales_keep_the_expression_bits(self, shape):
+        """The buffers reused across scales give the bits, signed zeros included, of
+        the response written as one expression per scale."""
+        def expression(image, sigmas):
+            best = None
+            for sigma in sigmas:
+                g = gaussian_blur(image, sigma)
+                p = np.pad(g, 1, mode="reflect")
+                hxx = p[1:-1, 2:] - 2.0 * g + p[1:-1, :-2]
+                hyy = p[2:, 1:-1] - 2.0 * g + p[:-2, 1:-1]
+                hxy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
+                mean = 0.5 * (hxx + hyy)
+                root = np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy ** 2)
+                la, lb = mean + root, mean - root
+                swap = np.abs(lb) > np.abs(la)
+                l1, l2 = np.where(swap, lb, la), np.where(swap, la, lb)
+                resp = -l1 * np.abs(l2) / (np.abs(l1) + HESSIAN_EPS) * (l2 < 0)
+                best = resp if best is None else np.maximum(best, resp)
+            return best
+        img = np.random.default_rng(8).random(shape) * 3000.0
+        img[shape[0] // 2, shape[1] // 2] = 40000.0
+        for sigmas in ((3.0,), (2.0, 3.0, 4.0, 5.0)):
+            got, want = hessian_cell_filter(img, sigmas), expression(img, sigmas)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
