@@ -35,6 +35,7 @@ import collections
 import difflib
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import sys
@@ -469,17 +470,19 @@ def stitch_tiles(cfg: PipelineConfig, out: Path) -> None:
 
 
 def _stitch_channel(cfg: PipelineConfig, ch: str, plan: _ChannelPlan, field, out: Path) -> None:
-    """Read, correct by ``field`` (if any) and assemble one section at a time
-    (``threads`` at once), append it to ``high_<ch>`` and bin each complete z-bin into
-    ``low_<ch>``.  The blend coverage of the last ``threads`` layouts is kept for the
-    pass, so sections that share a layout compute it once."""
+    """Assemble one section at a time (``threads`` at once), append it to ``high_<ch>``
+    and bin each complete z-bin into ``low_<ch>``.  A section's tiles are read and
+    corrected by ``field`` (if any) one at a time, as ``assemble_slice`` adds them, and
+    a z-bin's mosaics are dropped once written and binned.  The blend coverage of the
+    last ``threads`` layouts is kept for the pass, so sections that share a layout
+    compute it once."""
     coverage = functools.lru_cache(maxsize=cfg.threads)(stitch.blend_coverage)
 
     def mosaic(section):
         infos, layout = section
-        tiles = [imgcore.read_tile(info.path) for info in infos]
-        if field is not None:
-            tiles = [flatfield.correct_tile(t, field) for t in tiles]
+        tiles = (imgcore.read_tile(info.path) for info in infos)
+        if field is not None:  # map holds no tile between calls
+            tiles = map(flatfield.correct_tile, tiles, itertools.repeat(field))
         blend = coverage(tuple(layout.offsets), layout.extent, layout.tile_extent)
         return stitch.assemble_slice(tiles, layout=layout, margin=cfg.margin, coverage=blend)
 
@@ -487,11 +490,14 @@ def _stitch_channel(cfg: PipelineConfig, ch: str, plan: _ChannelPlan, field, out
     with imgcore.StackWriter(out / f"high_{ch}", plan.dims, plan.voxel_size, ch, "u16") as high, \
             imgcore.StackWriter(out / f"low_{ch}", plan.low.shape[::-1], plan.low.voxel_size,
                                 ch, "f32") as low:
-        for z0, z1 in plan.low.z_ranges:
-            slab = np.stack([next(mosaics) for _ in range(z0, z1)])
-            for plane in slab:
+
+        def write_bin(planes):  # the bin's mosaics go with its locals on return
+            for plane in planes:
                 high.write(plane)
-            low.write(plan.low.mean(slab))
+            low.write(plan.low.mean(planes[0][None] if len(planes) == 1 else np.stack(planes)))
+
+        for z0, z1 in plan.low.z_ranges:
+            write_bin([next(mosaics) for _ in range(z0, z1)])
 
 
 def _cells_in_roi(cfg: PipelineConfig, high_path, mask):

@@ -7,9 +7,11 @@ Conventions used throughout the package:
 * Voxel/pixel sizes are given in micrometres as ``(x, y, z)`` tuples.
 * The centre of voxel ``i`` along an axis with spacing ``h`` sits at
   ``(i + 0.5) * h`` micrometres.
-* All computation happens on float64 arrays; 16-bit quantization only occurs
-  when writing ``u16`` payloads, and ``write_tile`` is where a tile's [0, 65535]
-  range is checked.
+* Slices travel in their on-disk dtype: ``StackReader`` yields ``<u2`` or ``<f4``
+  slices, and each kernel converts to float64 where it computes (``gaussian_blur``,
+  ``hessian_cell_filter``, ``background_subtract``, the map pull-back), one slice at a
+  time.  16-bit quantization only occurs when writing ``u16`` payloads, and
+  ``write_tile`` is where a tile's [0, 65535] range is checked.
 * Every kernel that mirror-extends an array does it by ``np.pad(mode="reflect")``.
 * ``gaussian_blur`` sums its taps elementwise in a fixed order (the centre tap, then
   each symmetric pair from the outermost in; ``_convolve_axis``) and calls no BLAS
@@ -360,17 +362,26 @@ class StackWriter:
         self.written = 0
 
     def write(self, plane) -> None:
-        plane = np.asarray(plane, dtype=np.float64)
+        """Append one (ny, nx) slice.  A u16 stack takes a float slice rounded to the
+        nearest integer and clipped to [0, 65535]; a bool or integer slice is clipped
+        and stored as it is, which gives the same bytes without a float64 copy."""
+        plane = np.asarray(plane)
         nx, ny, nz = self.dims
         if plane.shape != (ny, nx):
             raise ValueError(f"slice shape {plane.shape} != ({ny}, {nx})")
         if self.written == nz:
             raise ValueError(f"{self.raw}: all {nz} slices already written")
-        if self.dtype == "u16":
-            payload = np.rint(plane)
-            payload = np.clip(payload, 0, U16_MAX, out=payload).astype("<u2")
+        if self.dtype == "f32":
+            if plane.dtype != np.float32:  # through float64, which rounds as it always did
+                plane = np.asarray(plane, dtype=np.float64)
+            payload = np.ascontiguousarray(plane, dtype="<f4")
+        elif plane.dtype.kind in "biu":
+            if not np.can_cast(plane.dtype, "<u2"):
+                plane = np.clip(plane, 0, min(U16_MAX, np.iinfo(plane.dtype).max))
+            payload = np.ascontiguousarray(plane, dtype="<u2")
         else:
-            payload = plane.astype("<f4")
+            payload = np.rint(np.asarray(plane, dtype=np.float64))
+            payload = np.clip(payload, 0, U16_MAX, out=payload).astype("<u2")
         self._file.write(payload.data)
         self.written += 1
 
@@ -392,7 +403,9 @@ class StackWriter:
 
 
 class StackReader:
-    """Read a stack one z-slice at a time; iterating yields float64 (ny, nx) slices."""
+    """Read a stack one z-slice at a time.  Iterating yields each (ny, nx) slice, and
+    ``slab`` a range of slices, in the on-disk dtype (``<u2`` or ``<f4``), read-only;
+    a kernel converts to float64 where it computes."""
 
     def __init__(self, prefix):
         self.hdr, self.raw = _stack_paths(prefix)
@@ -409,19 +422,16 @@ class StackReader:
         nx, ny, nz = self.dims
         return (nz, ny, nx)
 
-    def _payload_slices(self):
+    def __iter__(self):
         nx, ny, nz = self.dims
         with open(self.raw, "rb") as f:
-            for _ in range(nz):
-                blob = f.read(self._slice_bytes)
-                yield np.frombuffer(blob, dtype=_STACK_DTYPES[self.dtype]).reshape(ny, nx)
-
-    def __iter__(self):
-        for plane in self._payload_slices():
-            yield plane.astype(np.float64)
+            for _ in range(nz):  # no local keeps a slice while the next one is read
+                yield np.frombuffer(f.read(self._slice_bytes),
+                                    dtype=_STACK_DTYPES[self.dtype]).reshape(ny, nx)
 
     def slab(self, z0: int, z1: int) -> np.ndarray:
-        """Slices ``z0:z1`` as one float64 (z1 - z0, ny, nx) array; only they are read."""
+        """Slices ``z0:z1`` as one (z1 - z0, ny, nx) array in the on-disk dtype; only
+        they are read."""
         nx, ny, nz = self.dims
         if not 0 <= z0 <= z1 <= nz:
             raise IndexError(f"slab {z0}:{z1} outside 0:{nz}")
@@ -429,7 +439,7 @@ class StackReader:
             f.seek(z0 * self._slice_bytes)
             blob = f.read((z1 - z0) * self._slice_bytes)
         payload = np.frombuffer(blob, dtype=_STACK_DTYPES[self.dtype])
-        return payload.reshape(z1 - z0, ny, nx).astype(np.float64)
+        return payload.reshape(z1 - z0, ny, nx)
 
 
 def write_stack(stack: Stack3D, prefix) -> Path:
@@ -443,7 +453,7 @@ def write_stack(stack: Stack3D, prefix) -> Path:
 def read_stack(prefix) -> Stack3D:
     reader = StackReader(prefix)
     data = np.empty(reader.shape, dtype=np.float64)
-    for z, plane in enumerate(reader._payload_slices()):
+    for z, plane in enumerate(reader):
         data[z] = plane
     return Stack3D(data=data, voxel_size=reader.voxel_size, channel=reader.channel,
                    dtype=reader.dtype)

@@ -82,8 +82,8 @@ class FieldReader:
     """A saved field ``<prefix>_dx/_dy/_dz``, read one reference z-slice at a time.
 
     The parts' shapes are checked from their headers on opening.  Iterating yields
-    each slice's ``(dx, dy, dz)``, three (ny, nx) float64 planes, checked to be finite
-    as they are read.
+    each slice's ``(dx, dy, dz)``, three (ny, nx) float64 planes converted from the
+    parts' f32 and checked to be finite as they are read.
     """
 
     def __init__(self, prefix):
@@ -96,7 +96,8 @@ class FieldReader:
         self.voxel_size = parts[0].voxel_size
 
     def __iter__(self):
-        for disp in zip(*self._parts):
+        for parts in zip(*self._parts):
+            disp = tuple(np.asarray(part, dtype=np.float64) for part in parts)
             for plane in disp:
                 _check_finite(plane)
             yield disp
@@ -380,10 +381,13 @@ class RegionTally:
 
     Per label id, ``voxels`` counts the atlas voxels, ``sums`` adds the signal and
     ``hits`` counts the source mask voxels or cells; ``outside_points`` counts cells
-    outside the atlas.  The running ``sums`` enter each slice's ``bincount`` as the
-    weights of ids ``0..n-1`` ahead of the slice's voxels, so each id's signal is
-    added in z, y, x order, as one whole-volume ``bincount`` adds it: same bits.
+    outside the atlas.  A slice is added in blocks of ``BLOCK`` voxels in x-fastest
+    order.  The running ``sums`` enter each block's ``bincount`` as the weights of ids
+    ``0..n-1`` ahead of the block's voxels, so each id's signal is added in z, y, x
+    order, as one whole-volume ``bincount`` adds it: same bits.
     """
+
+    BLOCK = 1 << 16
 
     def __init__(self, names=()):
         self.names = dict(names)
@@ -394,16 +398,21 @@ class RegionTally:
 
     def add(self, labels, signal=None, mask=None, points=None) -> None:
         """Add one (ny, nx) atlas slice, with the signal or the source mask of that
-        slice, or the (x, y) of the cells on it."""
+        slice, or the (x, y) of the cells on it.  Integer labels (u16 as read) and the
+        signal (f32 as read) are used as they are, a block at a time: no slice-sized
+        float64 or int64 copy is made."""
         labels = _labels(labels)
         flat = labels.ravel()
-        self.voxels = _plus(self.voxels, np.bincount(flat))
-        if signal is not None:
-            if (signal < 0).any():
-                raise ValueError("signal must be nonnegative")
-            carried = np.arange(len(self.sums))
-            self.sums = np.bincount(np.concatenate([carried, flat]),
-                                    weights=np.concatenate([self.sums, np.ravel(signal)]))
+        values = None if signal is None else np.ravel(signal)
+        if values is not None and (values < 0).any():
+            raise ValueError("signal must be nonnegative")
+        for start in range(0, flat.size, self.BLOCK):
+            ids = flat[start:start + self.BLOCK]
+            self.voxels = _plus(self.voxels, np.bincount(ids))
+            if values is not None:
+                carried = np.arange(len(self.sums))
+                self.sums = np.bincount(np.concatenate([carried, ids]), weights=np.concatenate(
+                    [self.sums, values[start:start + self.BLOCK]]))
         if mask is not None:
             self.hits = _plus(self.hits, np.bincount(labels[np.asarray(mask) > 0]))
         if points is not None:

@@ -154,7 +154,7 @@ def blend_coverage(offsets, extent, tile_extent) -> BlendCoverage:
                          mean=multi & ~blend, holes=int((count == 0).sum()))
 
 
-def assemble_slice(tiles: list[Tile2D], layout: MosaicLayout | None = None, margin: int = 50,
+def assemble_slice(tiles, layout: MosaicLayout | None = None, margin: int = 50,
                    coverage: BlendCoverage | None = None) -> np.ndarray:
     """Fuse one section's tiles into a single 2D image.
 
@@ -164,27 +164,34 @@ def assemble_slice(tiles: list[Tile2D], layout: MosaicLayout | None = None, marg
     values untouched; pixels covered by none are 0 and counted in a warning.
     ``coverage`` is the layout's ``blend_coverage``, computed here if not given,
     so a stack whose sections share a layout computes it once.
+
+    With a ``layout``, ``tiles`` may be any iterable, a generator that reads one tile
+    at a time included: each tile is added into the sums as it arrives, in the
+    layout's order, and is not held after that.
     """
     if layout is None:
+        tiles = list(tiles)
         layout = plan_layout(tiles, margin)
-    tw, th = layout.tile_extent
-    cropped = []
-    for t in tiles:
-        _check_margin(margin, t.width, t.height)
-        cropped.append(t.pixels[margin:t.height - margin, margin:t.width - margin])
-    if len(cropped) != len(layout.offsets) or any(p.shape != (th, tw) for p in cropped):
-        raise ValueError("layout tile extent does not match the tiles")
     if coverage is None:
         coverage = blend_coverage(tuple(layout.offsets), layout.extent, layout.tile_extent)
-
-    w, h = layout.extent
+    (w, h), (tw, th) = layout.extent, layout.tile_extent
     plain = np.zeros((h, w), dtype=np.float64)
     weighted = np.zeros((h, w), dtype=np.float64)
     product = np.empty((th, tw), dtype=np.float64)
-    for pixels, (ox, oy) in zip(cropped, layout.offsets):
+    placed = 0
+    for t in tiles:
+        _check_margin(margin, t.width, t.height)
+        pixels = t.pixels[margin:t.height - margin, margin:t.width - margin]
+        if placed == len(layout.offsets) or pixels.shape != (th, tw):
+            raise ValueError("layout tile extent does not match the tiles")
+        ox, oy = layout.offsets[placed]
         sl = (slice(oy, oy + th), slice(ox, ox + tw))
         plain[sl] += pixels
         weighted[sl] += np.multiply(coverage.ramp, pixels, out=product)
+        placed += 1
+        del t, pixels  # hold no tile while the next one is read
+    if placed != len(layout.offsets):
+        raise ValueError("layout tile extent does not match the tiles")
 
     # the result is built in `plain`: single-tile pixels keep their value, holes stay 0;
     # overlaps take the ramp-weighted mean, or the plain mean where the ramps' sum is 0

@@ -900,6 +900,18 @@ class TestStreamedStages:
         for name in deep:
             assert deep[name] - shallow[name] < 1 << 20, (name, shallow[name], deep[name])
 
+    def test_stage_peaks_in_slices(self, tmp_path):
+        """Stitch, tracer and connectivity hold a few slices: their tracemalloc peaks, in
+        float64 (ny, nx) slices of the phantom's 240 x 240 sections, stay under bounds
+        that slices read as float64 and whole sections of tiles would break."""
+        peaks = self.stage_peaks(tmp_path, 4)
+        nz, ny, nx = imgcore.StackReader(tmp_path / "run" / "high_CG").shape
+        slices = {name: peak / (ny * nx * 8) for name, peak in peaks.items()}
+        bounds = {"stitch": 8.5, "tracer": 5.0, "connectivity": 4.5, "connectivity_field": 4.5}
+        over = {name: round(slices[name], 2) for name, bound in bounds.items()
+                if slices[name] > bound}
+        assert not over, over
+
     def test_low_stack_bins_straddle_sections(self, tmp_path):
         """At a 20 µm section step the 50 µm z-bins take 2 and 3 sections; the streamed
         low stacks equal ``downsample_stack`` of the whole float64 stacks, bit for bit."""
@@ -1120,7 +1132,7 @@ class TestStreamedFailures:
         def no_slice(*args):
             raise AssertionError("a slice was read")
 
-        monkeypatch.setattr(imgcore.StackReader, "_payload_slices", no_slice)
+        monkeypatch.setattr(imgcore.StackReader, "__iter__", no_slice)
         monkeypatch.setattr(imgcore.StackReader, "slab", no_slice)
         cfg = pipeline_config(tmp_path, tmp_path / "truth", atlas=tmp_path / "short")
         nz, ny, nx = atlas.data.shape

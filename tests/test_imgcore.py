@@ -160,6 +160,48 @@ class TestStackIO:
             short.close()
         assert not (tmp_path / "s.hdr").exists()
 
+    @pytest.mark.parametrize("dtype, disk", [("u16", "<u2"), ("f32", "<f4")])
+    def test_reader_yields_the_on_disk_dtype(self, tmp_path, dtype, disk):
+        """Iteration and ``slab`` give the stored values in the stored dtype, read-only;
+        ``read_stack`` gives the same values as float64."""
+        rng = np.random.default_rng(3)
+        if dtype == "u16":
+            data = rng.integers(0, 65536, size=(4, 5, 6)).astype(np.float64)
+        else:
+            data = rng.normal(0, 1e3, size=(4, 5, 6)).astype(np.float32).astype(np.float64)
+        write_stack(Stack3D(data, (1.0, 1.0, 2.0), dtype=dtype), tmp_path / "s")
+        reader = StackReader(tmp_path / "s")
+        planes = list(reader)
+        assert all(p.dtype == np.dtype(disk) and not p.flags.writeable for p in planes)
+        assert np.array_equal(np.stack(planes), data)
+        for z0, z1 in ((0, 4), (1, 3), (3, 4), (2, 2)):
+            slab = reader.slab(z0, z1)
+            assert slab.dtype == np.dtype(disk) and slab.shape == (z1 - z0, 5, 6)
+            assert np.array_equal(slab, data[z0:z1])
+        back = read_stack(tmp_path / "s")
+        assert back.data.dtype == np.float64 and np.array_equal(back.data, data)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint16, np.int8, np.uint64, np.float32])
+    @pytest.mark.parametrize("stack_dtype", ["u16", "f32"])
+    def test_writer_bytes_of_the_float64_path(self, tmp_path, dtype, stack_dtype):
+        """A bool, integer or f32 slice is written with the bytes of its float64 copy:
+        u16 clips values below 0 and above 65535 as the float path does."""
+        rng = np.random.default_rng(4)
+        if dtype is bool:
+            plane = rng.random((6, 7)) < 0.5
+        elif dtype is np.float32:
+            plane = rng.uniform(-100.0, 70000.0, (6, 7)).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            values = [info.min, info.max, -1, 0, 1, 65535, 65536, 70000, 12345]
+            plane = rng.choice(np.array([v for v in values if info.min <= v <= info.max],
+                                        dtype=dtype), (6, 7))
+        for name, slab in (("direct", plane), ("float64", plane.astype(np.float64))):
+            with StackWriter(tmp_path / name, (7, 6, 2), (1.0, 1.0, 1.0), dtype=stack_dtype) as w:
+                w.write(slab)
+                w.write(slab[:, ::-1])  # a non-contiguous view
+        assert (tmp_path / "direct.raw").read_bytes() == (tmp_path / "float64.raw").read_bytes()
+
     def test_truncated_payload(self, tmp_path):
         stack = Stack3D(np.zeros((4, 4, 4)), (1, 1, 1), dtype="u16")
         write_stack(stack, tmp_path / "s")

@@ -258,6 +258,32 @@ class TestOldFormulaOracle:
         with pytest.raises(ValueError, match="does not match the tiles"):
             assemble_slice(tiles, layout=layout, margin=2)
 
+    def test_streamed_tiles_give_the_bits_of_the_list(self):
+        """A one-shot generator of the tiles gives the bits of the list form."""
+        tiles = random_tiles(np.random.default_rng(16), grid(3, 17), 30)
+        layout = plan_layout(tiles, 4)
+        want = assemble_slice(tiles, layout=layout, margin=4)
+        stream = (t for t in tiles)
+        assert assemble_slice(stream, layout=layout, margin=4).tobytes() == want.tobytes()
+        assert want.tobytes() == old_assemble_slice(tiles, 4).tobytes()
+        assert next(stream, None) is None
+        assert assemble_slice(iter(tiles), margin=4).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_stream_one_tile_short_or_long(self, count):
+        rng = np.random.default_rng(17)
+        tiles = random_tiles(rng, grid(2, 10), 16) + random_tiles(rng, [(5, 5)], 16)
+        layout = plan_layout(tiles[:4], 2)
+        with pytest.raises(ValueError, match="does not match the tiles"):
+            assemble_slice((t for t in tiles[:count]), layout=layout, margin=2)
+
+    def test_streamed_tile_of_another_extent(self):
+        tiles = random_tiles(np.random.default_rng(18), grid(2, 10), 16)
+        layout = plan_layout(tiles, 2)
+        tiles[2] = random_tiles(np.random.default_rng(19), [(0, 10)], 18)[0]
+        with pytest.raises(ValueError, match="does not match the tiles"):
+            assemble_slice((t for t in tiles), layout=layout, margin=2)
+
 
 class TestPlanLayoutMargin:
     @pytest.mark.parametrize("pitch", [1.0, 0.5, 1.34])
@@ -296,6 +322,7 @@ def test_stitch_stage_blends_each_section_by_its_own_layout(tmp_path, threads, m
     assemble, checked = cli.stitch.assemble_slice, []
 
     def checked_assemble(tiles, **kwargs):
+        tiles = list(tiles)  # the stage streams them; both formulas read them
         out = assemble(tiles, **kwargs)
         checked.append(out.tobytes() == old_assemble_slice(tiles, kwargs["margin"]).tobytes())
         return out

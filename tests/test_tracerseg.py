@@ -37,6 +37,41 @@ class TestBackgroundSubtract:
         with pytest.raises(ValueError, match="mismatch"):
             background_subtract(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @staticmethod
+    def where_form(cg, cr, t):
+        """The subtraction as one ``np.where`` on float64 copies of the inputs."""
+        cg, cr = np.asarray(cg, dtype=np.float64), np.asarray(cr, dtype=np.float64)
+        scaled = t * cr
+        return np.where(cg < scaled, 0.0, cg - scaled)
+
+    @pytest.mark.parametrize("dtype", ["<u2", "<f4", "<f8"])
+    @pytest.mark.parametrize("t", [1.1, 0.7, 1.0])
+    def test_bits_of_the_where_form_inputs_unchanged(self, dtype, t):
+        """u16 slices as read, f32 and float64 give the bits of the ``np.where`` form,
+        signed zeros included, and neither input is written to."""
+        rng = np.random.default_rng(14)
+        cg = rng.integers(0, 3000, (32, 40)).astype(dtype)
+        cr = rng.integers(0, 3000, (32, 40)).astype(dtype)
+        cr[:4] = np.round(cg[:4] / t)  # near and exact ties of cg and t * cr
+        if dtype != "<u2":
+            cg[5, :6] = [-0.0, 0.0, -0.0, 0.0, -0.0, 1.5]
+            cr[5, :6] = [0.0, -0.0, -0.0, 0.0, 1.0, -0.0]
+        cg_before, cr_before = cg.copy(), cr.copy()
+        out = background_subtract(cg, cr, t=t)
+        want = self.where_form(cg, cr, t)
+        assert out.dtype == np.float64
+        assert out.tobytes() == want.tobytes()
+        assert cg.tobytes() == cg_before.tobytes() and cr.tobytes() == cr_before.tobytes()
+        if dtype != "<u2":  # -0.0 - (+0.0) stays -0.0 in both forms
+            assert np.signbit(out[5, 0]) and np.signbit(want[5, 0])
+
+    def test_nonfinite_like_the_where_form(self):
+        cg = np.array([[np.inf, np.nan, 5.0, -np.inf, np.inf, 1.0]])
+        cr = np.array([[np.inf, 1.0, np.inf, 2.0, 1.0, np.nan]])
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN in both forms
+            out = background_subtract(cg, cr, t=1.1)
+            assert out.tobytes() == self.where_form(cg, cr, 1.1).tobytes()
+
 
 class TestDoubleThreshold:
     def test_zero_signal(self):
@@ -249,6 +284,20 @@ class TestThresholdPipeline:
         a = threshold_pipeline(cg, cr)
         b = threshold_pipeline(np.roll(cg, (4, 4), (0, 1)), np.roll(cr, (4, 4), (0, 1)))
         assert np.array_equal(np.roll(a.mask, (4, 4), (0, 1))[8:-8, 8:-8], b.mask[8:-8, 8:-8])
+
+    def test_u16_slices_give_the_float64_label(self):
+        """Slices as read (u16) segment to the bits of their float64 copies; the inputs
+        are not written to."""
+        rng = np.random.default_rng(15)
+        cg = rng.integers(0, 900, (30, 30)).astype("<u2")
+        cr = rng.integers(0, 300, (30, 30)).astype("<u2")
+        cg_before = cg.copy()
+        got = threshold_pipeline(cg, cr)
+        want = threshold_pipeline(cg.astype(np.float64), cr.astype(np.float64))
+        assert got.mask.any() and (~got.mask).any()
+        assert np.array_equal(got.mask, want.mask)
+        assert got.signal.tobytes() == want.signal.tobytes()
+        assert np.array_equal(cg, cg_before)
 
     def test_mask_signal_consistent(self):
         rng = np.random.default_rng(13)
