@@ -3,11 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from marmopipe.imgcore import Stack3D, write_stack
+from marmopipe import mapping
+from marmopipe.imgcore import Stack3D, StackWriter, write_stack
 from marmopipe.injsite import CellPointCloud
 from marmopipe.mapping import (
     ConnectivityTable,
     DisplacementField,
+    FieldReader,
     RegionAtlas,
     apply_field,
     injection_regions,
@@ -144,6 +146,100 @@ def test_streamed_map_matches_the_whole_volume_bytes(tmp_path):
         blob = (root / "out.hdr").read_bytes() + (root / "out.raw").read_bytes()
         got.append(hashlib.sha256(blob).hexdigest()[:16])
     assert [i for i, (a, b) in enumerate(zip(got, PINNED_RESAMPLE)) if a != b] == []
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_row_blocks_keep_the_pinned_bytes(tmp_path, monkeypatch, rows):
+    """Blocks of one or of three rows, so that most cases take several, give every
+    case the bytes pinned for the whole-volume map stage."""
+    got = []
+    for i in range(len(PINNED_RESAMPLE)):
+        root = tmp_path / str(i)
+        root.mkdir()
+        interpolation = resample_case(i, root)
+        monkeypatch.setattr(mapping, "_BLOCK_PIXELS", rows * FieldReader(root / "field").shape[2])
+        map_stack(root / "src", root / "field", interpolation, root / "out")
+        blob = (root / "out.hdr").read_bytes() + (root / "out.raw").read_bytes()
+        got.append(hashlib.sha256(blob).hexdigest()[:16])
+    assert [i for i, (a, b) in enumerate(zip(got, PINNED_RESAMPLE)) if a != b] == []
+
+
+def banded_case(congruent: bool):
+    """A 3 x 40 x 37 source with signed zeros and a field whose offsets change from
+    band to band of rows: x moves in rows 8-23 only, y by whole source voxels in rows
+    0-19 and by fractions below, z in rows 30-39 only (some samples leave the source),
+    and row 5 holds -0.0 offsets.  On a congruent grid a block of rows 0-7 has no
+    offset in x or z and no fraction at all."""
+    rng = np.random.default_rng(37)
+    shape, voxel = (3, 40, 37), (1.5, 2.0, 4.0)
+    source = rng.random(shape) * 100.0
+    source[rng.random(shape) < 0.2] = -0.0
+    spacing = voxel if congruent else (1.3, 2.2, 3.5)
+    disp = np.zeros((3,) + shape)
+    disp[0, :, 8:24] = rng.normal(0.0, 0.7, (3, 16, 37)) * voxel[0]
+    disp[1, :, :20] = rng.integers(-2, 3, (3, 20, 37)) * voxel[1]
+    disp[1, :, 20:] = rng.normal(0.0, 1.5, (3, 20, 37)) * voxel[1]
+    disp[2, :, 30:] = rng.normal(0.0, 1.0, (3, 10, 37)) * voxel[2]
+    disp[:, :, 5] = -0.0
+    return Stack3D(source, voxel), DisplacementField(disp, spacing)
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "nearest"])
+@pytest.mark.parametrize("congruent", [True, False])
+def test_row_blocks_give_the_bytes_of_one_block(tmp_path, monkeypatch, congruent,
+                                                 interpolation):
+    """Where blocks differ in which axes move and which fractions are 0, blocks of 1, 3
+    and 7 rows give the bytes of one 40-row block, signed zeros included: in memory
+    (float64) and through ``map_stack`` (f32 source and field on disk)."""
+    stack, field = banded_case(congruent)
+    write_stack(stack, tmp_path / "src")
+    save_field(field, tmp_path / "field")
+    _, ny, nx = field.shape
+
+    def resampled(rows):
+        monkeypatch.setattr(mapping, "_BLOCK_PIXELS", rows * nx)
+        in_memory = apply_field(stack, field, interpolation).data.tobytes()
+        map_stack(tmp_path / "src", tmp_path / "field", interpolation, tmp_path / "out")
+        return in_memory, (tmp_path / "out.raw").read_bytes()
+
+    one_block = resampled(ny)
+    if interpolation == "nearest":  # the compared bytes hold signed zeros
+        assert np.signbit(np.frombuffer(one_block[0])).any()
+    for rows in (1, 3, 7):
+        assert resampled(rows) == one_block, rows
+
+
+class TestFieldReader:
+    def test_yields_the_stored_f4_planes(self, tmp_path):
+        rng = np.random.default_rng(41)
+        disp = rng.normal(0.0, 3.0, (3, 4, 5, 6))
+        save_field(DisplacementField(disp, (1.0, 2.0, 3.0)), tmp_path / "f")
+        planes = list(FieldReader(tmp_path / "f"))
+        assert len(planes) == 4
+        for z, parts in enumerate(planes):
+            assert [p.dtype for p in parts] == [np.dtype("<f4")] * 3
+            assert [p.tobytes() for p in parts] == [d[z].astype("<f4").tobytes() for d in disp]
+
+    @pytest.mark.parametrize("tag", ["dx", "dy", "dz"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nonfinite_part_fails_and_leaves_no_header(self, tmp_path, tag, bad):
+        """A non-finite value in the last slice of any part fails ``load_field`` and
+        ``map_stack``, which leaves no ``dest`` header, not even the previous one."""
+        shape, voxel = (3, 4, 5), (1.0, 1.0, 1.0)
+        write_stack(Stack3D(np.ones(shape), voxel), tmp_path / "src")
+        save_field(DisplacementField(np.full((3,) + shape, 0.25), voxel), tmp_path / "f")
+        map_stack(tmp_path / "src", tmp_path / "f", "linear", tmp_path / "out")
+        assert (tmp_path / "out.hdr").exists()
+        part = np.full(shape, 0.25, dtype=np.float32)
+        part[-1, 2, 3] = bad
+        with StackWriter(tmp_path / f"f_{tag}", shape[::-1], voxel) as out:
+            for plane in part:
+                out.write(plane)
+        with pytest.raises(ValueError, match="displacement vectors must be finite"):
+            load_field(tmp_path / "f")
+        with pytest.raises(ValueError, match="displacement vectors must be finite"):
+            map_stack(tmp_path / "src", tmp_path / "f", "linear", tmp_path / "out")
+        assert not (tmp_path / "out.hdr").exists()
 
 
 def test_streamed_target_sums_are_one_bincount():
