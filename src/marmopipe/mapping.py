@@ -13,12 +13,12 @@ identity (no µm round trip that could perturb the last bit).
 All five pipeline stages stream; the map and connectivity stages built from
 this module work one z-slice at a time, never on a whole volume.
 ``_PullBack`` resamples one reference slice, in blocks of whole rows, from the
-source slab each block's sample positions touch; ``map_stack`` runs it over a
-saved field and a source stack on disk, reading each field slice and each
+one source slab that slice's sample positions touch; ``map_stack`` runs it over
+a saved field and a source stack on disk, reading each field slice and each
 source slab as it needs them, and ``apply_field`` runs it over arrays in
 memory.  Each output pixel depends on its own offsets alone, so the blocks
-change no bit, and every per-position array but the output is a block buffer
-reused from block to block.  Two rules keep a block cheap without changing a
+change no bit, and every per-position array but the output is a temporary of
+one block.  Two rules keep a block cheap without changing a
 bit of it.  An axis whose offsets are all zero in the block is sampled along
 one grid line: its position is a scalar (z), a column (y) or a row (x), since
 adding a zero offset changes nothing, and its floor, fraction and range test
@@ -116,8 +116,27 @@ def load_field(prefix) -> DisplacementField:
     return DisplacementField(disp=disp, voxel_size=reader.voxel_size)
 
 
+def _inside(start, offset: int, n: int):
+    """Where ``start + offset`` lies in ``0..n-1``, or None if it does everywhere."""
+    if np.min(start) >= -offset and np.max(start) < n - offset:
+        return None
+    return (start >= -offset) & (start < n - offset)
+
+
+def _both(a, b):
+    """The elementwise and of two masks, either of which may be None (true everywhere)."""
+    return b if a is None else a if b is None else a & b
+
+
+def _times(a, b):
+    """The product of two weights, either of which may be None (1.0 everywhere, which
+    multiplies no bit)."""
+    return b if a is None else a if b is None else a * b
+
+
 # Reference pixels ``_PullBack`` resamples at a time: a block of whole rows (at least
-# one), small enough that each block buffer stays in a core's cache.
+# one).  It bounds the per-position temporaries of a slice to those of one block;
+# 2**14 is the only size that has been measured.
 _BLOCK_PIXELS = 1 << 14
 
 
@@ -125,24 +144,24 @@ class _PullBack:
     """Resample one reference z-slice at a time from a source of shape ``source_shape``.
 
     ``slab(z0, z1)`` returns the source slices ``z0:z1``, in any dtype that float64
-    holds exactly.  ``nearest`` is for label/mask volumes, ``linear`` for intensities;
-    samples falling outside the source domain become 0.
+    holds exactly; each reference slice reads one slab, the range of slices its sample
+    positions touch, clipped to the source.  A position grows with its offset, so the
+    slice's least and greatest z offsets give that range without a position per pixel.
+    ``nearest`` is for label/mask volumes, ``linear`` for intensities; samples falling
+    outside the source domain become 0.
 
     A slice is computed in blocks of whole rows, about ``_BLOCK_PIXELS`` pixels each.
-    Each block asks for the range of source slices its sample positions touch, clipped
-    to the source, and reuses the slab of the block before it when the range is the
-    same.  Within a block, an axis whose offsets are all zero is sampled along one grid
-    line: its position, start index, fraction and range test are a scalar (z), a
-    column (y) or a row (x) instead of a block.  An axis whose fraction is all zero in
-    the block visits its floor corner alone.  Each corner is one gather: the flat slab
-    index ``((z - lo) * ny + y) * nx + x`` is built once per block and shifted by the
+    Within a block, an axis whose offsets are all zero is sampled along one grid line:
+    its position, start index, fraction and range test are a scalar (z), a column (y)
+    or a row (x) instead of a block.  An axis whose fraction is all zero in the block
+    visits its floor corner alone.  Each corner is one gather: the flat slab index
+    ``((z - lo) * ny + y) * nx + x`` is built once per block and shifted by the
     corner's constant offset, indices off the slab are clipped, and the corner adds
-    ``weight * value`` only where its voxel lies in the source and its weight is not
-    0, so what a clipped index reads never reaches the output.  Values are gathered in
-    the slab's dtype and cast to float64; offsets are cast to float64 before any
-    arithmetic.  Only the output is a whole slice.  The flat index, the gathered
-    values, the masks, the weight products and each moving axis's position, start and
-    lower weight are block buffers kept from block to block.
+    ``weight * value`` only where its voxel lies in the source and its weight is not 0,
+    so what a clipped index reads never reaches the output.  Values are gathered in
+    the slab's dtype and widened to float64 by the arithmetic that uses them; offsets
+    are cast to float64 before any arithmetic.  Only the output is a whole slice, kept
+    from slice to slice; every other per-position array is a temporary of one block.
     """
 
     def __init__(self, shape, voxel_size, source_shape, source_voxel, slab, interpolation):
@@ -160,146 +179,109 @@ class _PullBack:
         )
         self.rows = min(max(1, _BLOCK_PIXELS // nx), ny)
         self._out = np.empty((ny, nx), dtype=np.float64)
-        self._buffers = {}
-        self._n = self.rows  # the rows of the block being computed
 
-    def _buffer(self, key, dtype) -> np.ndarray:
-        """Block buffer ``key`` of ``dtype``, cut to the current block's rows."""
-        buf = self._buffers.get(key)
-        if buf is None or buf.dtype != dtype:
-            buf = self._buffers[key] = np.empty((self.rows, self.xx.shape[1]), dtype=dtype)
-        return buf[: self._n]
+    def _position(self, grid, disp, v: float, s: float) -> np.ndarray:
+        """Reference indices ``grid`` of ``v`` µm voxels, moved by ``disp`` µm, as
+        float64 indices into ``s`` µm source voxels.  Each step rounds monotonically,
+        so the position never falls as the offset grows."""
+        ci = np.array(disp, dtype=np.float64)  # float64 first: f32 would compute in f32
+        if self.congruent:
+            ci /= s
+            ci += grid
+        else:
+            ci += (grid + 0.5) * v
+            ci /= s
+            ci -= 0.5
+        return ci
 
-    def _times(self, key, a, b):
-        """The product of two weights, either of which may be None (1.0 everywhere, which
-        multiplies no bit), in block buffer ``key`` when both are given."""
-        return b if a is None else a if b is None else np.multiply(
-            a, b, out=self._buffer(key, np.float64))
-
-    def _both(self, key, a, b):
-        """The elementwise and of two masks, either of which may be None (true
-        everywhere), in block buffer ``key`` when both are given."""
-        return b if a is None else a if b is None else np.logical_and(
-            a, b, out=self._buffer(key, bool))
-
-    def _inside(self, start, offset: int, n: int, key):
-        """Where ``start + offset`` lies in ``0..n-1`` (in block buffer ``key`` unless
-        it is None), or None if it does everywhere."""
-        if np.min(start) >= -offset and np.max(start) < n - offset:
-            return None
-        inside = np.greater_equal(start, -offset,
-                                  out=None if key is None else self._buffer(key, bool))
-        inside &= start < n - offset
-        return inside
-
-    def _axis(self, axis: int, grid, disp, v: float, s: float, n: int):
+    def _axis(self, grid, disp, v: float, s: float):
         """One axis of a block's sampling positions: reference indices ``grid`` (a
-        scalar, column or row) of ``v`` µm voxels, moved by the block's ``disp`` µm, as
-        indices into ``n`` source voxels of ``s`` µm.  Returns the integer start index
-        and the ``(offset, weight, inside)`` corners: the nearest index, or the floor
-        and, unless every fraction is 0, the index above it.  A weight of 1.0 everywhere
-        is None, and so is a range mask true everywhere.
+        scalar, column or row) moved by the block's ``disp``.  Returns the integer start
+        index and the ``(offset, weight)`` corners: the nearest index, or the floor and,
+        unless every fraction is 0, the index above it.  A weight of 1.0 everywhere is
+        None.
 
         With ``disp`` all zero the axis keeps its grid line: adding 0.0 would change
-        no bit.  A moving axis is computed in block buffers, which the next block reuses.
+        no bit.
         """
         nearest = self.interpolation == "nearest"
-        to_index = np.rint if nearest else np.floor
-        moving = bool(disp.any())
-        if not moving:
+        if not disp.any():
             ci = grid if self.congruent else (grid + 0.5) * v / s - 0.5
-            start = to_index(ci)
-            frac = None if nearest else ci - start
-            start, low = start.astype(np.int64), None
         else:
-            ci, start, low = (self._buffer((part, axis), dtype) for part, dtype in
-                              (("ci", np.float64), ("start", np.int64), ("low", np.float64)))
-            np.copyto(ci, disp)  # float64 before any arithmetic: f32 would compute in f32
-            if self.congruent:
-                ci /= s
-                ci += grid
-            else:
-                ci += (grid + 0.5) * v
-                ci /= s
-                ci -= 0.5
-            to_index(ci, out=start, casting="unsafe")
-            frac = None if nearest else np.subtract(ci, start, out=ci)
+            ci = self._position(grid, disp, v, s)
+        start = np.rint(ci) if nearest else np.floor(ci)
+        frac = None if nearest else ci - start
+        start = start.astype(np.int64)
         if frac is None or not frac.any():
-            corners = ((0, None),)
-        else:
-            corners = ((0, np.subtract(1.0, frac, out=low)), (1, frac))
-        return start, [(offset, weight, self._inside(start, offset, n,
-                                                     ("inside", axis, offset) if moving else None))
-                       for offset, weight in corners]
+            return start, ((0, None),)
+        return start, ((0, 1.0 - frac), (1, frac))
 
-    def _gather(self, flat, index, value) -> None:
-        """``value = flat[index]``, indices clipped, gathered in ``flat``'s dtype."""
-        raw = value if flat.dtype == value.dtype else self._buffer("raw", flat.dtype)
-        np.take(flat, index, mode="clip", out=raw)
-        if raw is not value:
-            np.copyto(value, raw)
+    def _span(self, z: int, dz, v: float, s: float) -> tuple[int, int]:
+        """The source slices ``lo:hi`` that reference slice ``z`` with z offsets ``dz``
+        touches, clipped to the source.  With offsets that differ but all land on whole
+        source slices, ``hi`` is one slice more than the positions need."""
+        first, last = (self._position(float(z), d, v, s) for d in (np.min(dz), np.max(dz)))
+        if self.interpolation == "nearest":
+            lo, hi = int(np.rint(first)), int(np.rint(last)) + 1
+        else:
+            lo, hi = int(np.floor(first)), int(np.floor(last)) + 1
+            if first != last or last != hi - 1:  # some fraction is not 0
+                hi += 1
+        nz = self.source_shape[0]
+        lo = min(max(lo, 0), nz)
+        return lo, min(max(hi, lo), nz)
 
     def _resample(self, out, flat, lo: int, axes) -> None:
         """Fill the block ``out`` from the flattened slab ``flat`` of source slices from
         ``lo`` on, at each axis's ``(start, corners)``."""
-        _, ny, nx = self.source_shape
+        nz, ny, nx = self.source_shape
         (z0, corners_z), (y0, corners_y), (x0, corners_x) = axes
-        index = self._buffer("index", np.int64)
-        np.subtract(z0, lo, out=index)
-        index *= ny
-        index += y0
-        index *= nx
-        index += x0
+        index = ((z0 - lo) * ny + y0) * nx + x0
+        inside_z, inside_y, inside_x = (
+            [_inside(start, offset, n) for offset, _ in corners]
+            for start, corners, n in ((z0, corners_z, nz), (y0, corners_y, ny),
+                                      (x0, corners_x, nx)))
         if self.interpolation == "nearest":
-            self._gather(flat, index, out)
-            ((_, _, in_z),), ((_, _, in_y),), ((_, _, in_x),) = corners_z, corners_y, corners_x
-            valid = self._both("valid", self._both("in_zy", in_z, in_y), in_x)
+            out[...] = np.take(flat, index, mode="clip")
+            valid = _both(_both(inside_z[0], inside_y[0]), inside_x[0])
             if valid is not None:
-                np.copyto(out, 0.0, where=np.logical_not(valid, out=self._buffer("valid", bool)))
+                np.copyto(out, 0.0, where=~valid)
             return
         out.fill(0.0)
-        value, shift = self._buffer("value", np.float64), 0
-        for dz, wz, in_z in corners_z:
-            for dy, wy, in_y in corners_y:
-                w_zy, in_zy = self._times("w_zy", wz, wy), self._both("in_zy", in_z, in_y)
-                for dx, wx, in_x in corners_x:
+        shift = 0
+        for (dz, wz), in_z in zip(corners_z, inside_z):
+            for (dy, wy), in_y in zip(corners_y, inside_y):
+                w_zy, in_zy = _times(wz, wy), _both(in_z, in_y)
+                for (dx, wx), in_x in zip(corners_x, inside_x):
                     corner = (dz * ny + dy) * nx + dx
                     if corner != shift:
                         index += corner - shift
                         shift = corner
-                    self._gather(flat, index, value)
-                    weight = self._times("weight", w_zy, wx)
-                    valid = self._both("valid", in_zy, in_x)
-                    if weight is not None:  # a weight of 0 adds nothing
-                        valid = np.logical_and(True if valid is None else valid, weight,
-                                               out=self._buffer("valid", bool))
-                        np.multiply(weight, value, out=value, where=valid)
+                    value = np.take(flat, index, mode="clip")
+                    weight, valid = _times(w_zy, wx), _both(in_zy, in_x)
+                    if weight is not None:
+                        valid = _both(valid, weight != 0)
+                        # where ``valid`` is false the product is left unset: not added
+                        value = np.multiply(weight, value, out=None, where=valid)
                     np.add(out, value, out=out, where=True if valid is None else valid)
 
     def __call__(self, z: int, disp) -> np.ndarray:
         """The (ny, nx) float64 resampled reference slice ``z`` with offsets ``disp``
         (``dx``, ``dy``, ``dz`` planes, f32 or float64); the next call overwrites it."""
-        nz, ny, nx = self.source_shape
         (vx, vy, vz), (sx, sy, sz) = self.voxel_size, self.source_voxel
-        span = flat = None
-        for r0 in range(0, len(self._out), self.rows):
+        out = self._out
+        lo, hi = self._span(z, disp[2], vz, sz)
+        flat = self.slab(lo, hi).reshape(-1)
+        if flat.size == 0:
+            out.fill(0.0)
+            return out
+        for r0 in range(0, len(out), self.rows):
             rows = slice(r0, r0 + self.rows)
-            out = self._out[rows]
-            self._n = len(out)
-            axes = (self._axis(0, float(z), disp[2][rows], vz, sz, nz),
-                    self._axis(1, self.yy[rows], disp[1][rows], vy, sy, ny),
-                    self._axis(2, self.xx, disp[0][rows], vx, sx, nx))
-            z0, corners_z = axes[0]
-            lo = min(max(int(np.min(z0)), 0), nz)
-            hi = min(max(int(np.max(z0)) + len(corners_z), lo), nz)
-            if (lo, hi) != span:
-                flat = None  # the last slab goes before the next one is read
-                flat, span = self.slab(lo, hi).reshape(-1), (lo, hi)
-            if flat.size == 0:
-                out.fill(0.0)
-            else:
-                self._resample(out, flat, lo, axes)
-        return self._out
+            self._resample(out[rows], flat, lo, (
+                self._axis(float(z), disp[2][rows], vz, sz),
+                self._axis(self.yy[rows], disp[1][rows], vy, sy),
+                self._axis(self.xx, disp[0][rows], vx, sx)))
+        return out
 
 
 def _warn_if_labels(planes, dtype: str, interpolation: str) -> None:

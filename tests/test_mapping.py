@@ -209,6 +209,34 @@ def test_row_blocks_give_the_bytes_of_one_block(tmp_path, monkeypatch, congruent
         assert resampled(rows) == one_block, rows
 
 
+@pytest.mark.parametrize("interpolation", ["linear", "nearest"])
+def test_one_slab_per_slice_however_the_z_offsets_vary(monkeypatch, interpolation):
+    """One-row blocks of a field whose z offsets change from row to row read one source
+    slab per reference slice, the slices its positions touch; with no z offset on the
+    source grid a reference slice reads its own source slice alone."""
+    stack, field = banded_case(congruent=True)
+    monkeypatch.setattr(mapping, "_BLOCK_PIXELS", field.shape[2])
+    reads = []
+
+    def slab(z0, z1):
+        reads.append((z0, z1))
+        return stack.data[z0:z1]
+
+    pull = mapping._PullBack(field.shape, field.voxel_size, stack.data.shape,
+                             stack.voxel_size, slab, interpolation)
+    nz = field.shape[0]
+    for z in range(nz):
+        pull(z, field.disp[:, z])
+    to_index, corners = (np.rint, 1) if interpolation == "nearest" else (np.floor, 2)
+    start = to_index(np.arange(nz)[:, None, None] + field.disp[2] / stack.voxel_size[2])
+    assert reads == [(max(int(s.min()), 0), min(int(s.max()) + corners, nz)) for s in start]
+    field.disp[2] = 0.0
+    reads.clear()
+    for z in range(nz):
+        pull(z, field.disp[:, z])
+    assert reads == [(z, z + 1) for z in range(nz)]
+
+
 class TestFieldReader:
     def test_yields_the_stored_f4_planes(self, tmp_path):
         rng = np.random.default_rng(41)
