@@ -1,12 +1,16 @@
-"""Run-dir bytes pinned across commits.
+"""Run-dir and phantom bytes pinned across commits.
 
-Each manifest holds the sha256 of every file ``run_pipeline`` writes for
+The first two manifests hold the sha256 of every file ``run_pipeline`` writes for
 ``test_cli.small_spec()``:
 
 - ``pinned_outputs.json``: the threshold backends and ``flatfield=estimate``;
 - ``pinned_outputs_unet.json``: the U-Net cell and tracer backends, with tiny
   untrained models built from fixed seeds, so it pins the float32 inference bits
   of ``cells.txt``, ``tracer_L`` and ``tracer_mask``.
+
+``pinned_phantom.json`` holds the sha256 of every tile and truth file that
+``write_tile`` and ``GroundTruth.save`` write for ``small_spec(poisson=True,
+vignette_corner=0.6)``, so it pins the generator's Poisson draws and vignette.
 
 Left out are ``report.txt`` (seconds) and ``stages.json``, whose keys hash the run's
 own paths and the tiles' mtimes.  A change that alters output bytes on purpose
@@ -18,7 +22,8 @@ Each manifest records the numpy version and BLAS build it was made under.  The
 threshold run calls no BLAS routine (``gaussian_blur`` sums its taps in a fixed
 order), so its test skips only under another numpy; the U-Net's GEMMs may round
 differently under another BLAS build too, so the unet test skips, naming both
-builds, where either differs.
+builds, where either differs.  The phantom calls no BLAS routine either, so
+its test skips only under another numpy (whose Poisson sampler may differ).
 """
 
 from __future__ import annotations
@@ -67,11 +72,18 @@ def pinned_unet_run(root: Path) -> dict[str, str]:
     return file_digests(root / "run", skip=SKIP)
 
 
+def pinned_phantom(root: Path) -> dict[str, str]:
+    write_phantom(root, small_spec(poisson=True, vignette_corner=0.6))
+    return {f"{sub}/{name}": digest for sub in ("tiles", "truth")
+            for name, digest in file_digests(root / sub, skip=()).items()}
+
+
 HERE = Path(__file__).parent
 # name: (manifest, run, the builds() keys its bits depend on)
 RUNS = {
     "threshold": (HERE / "pinned_outputs.json", pinned_run, ("numpy",)),
     "unet": (HERE / "pinned_outputs_unet.json", pinned_unet_run, ("numpy", "blas")),
+    "phantom": (HERE / "pinned_phantom.json", pinned_phantom, ("numpy",)),
 }
 
 
@@ -85,7 +97,7 @@ def check_manifest(kind: str, tmp_path: Path) -> None:
     got = run(tmp_path)
     changed = sorted(name for name in pinned["files"].keys() | got.keys()
                      if pinned["files"].get(name) != got.get(name))
-    assert not changed, f"run-dir files differ from {manifest.name}: {changed}"
+    assert not changed, f"files differ from {manifest.name}: {changed}"
 
 
 def test_run_dir_matches_pinned_manifest(tmp_path):
@@ -94,6 +106,10 @@ def test_run_dir_matches_pinned_manifest(tmp_path):
 
 def test_unet_run_dir_matches_pinned_manifest(tmp_path):
     check_manifest("unet", tmp_path)
+
+
+def test_phantom_matches_pinned_manifest(tmp_path):
+    check_manifest("phantom", tmp_path)
 
 
 if __name__ == "__main__":
