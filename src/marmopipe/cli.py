@@ -462,11 +462,12 @@ def stitch_tiles(cfg: PipelineConfig, out: Path) -> None:
             fields[ch] = _estimate_field(index[ch], cfg.ff_lower, cfg.ff_upper)
             imgcore.write_stack(flatfield.field_to_stack(fields[ch], index[ch][0].pixel_pitch),
                                 out / f"field_{ch}")
+            fields[ch].valid_count = None  # written; correction reads only the values
         else:
             fields[ch] = flatfield.field_from_stack(imgcore.read_stack(f"{mode}_{ch}"))
 
-    for ch in list(plans):  # a channel's plan is dropped once its pass is done
-        _stitch_channel(cfg, ch, plans.pop(ch), fields.get(ch), out)
+    for ch in list(plans):  # a channel's plan and field are dropped once its pass is done
+        _stitch_channel(cfg, ch, plans.pop(ch), fields.pop(ch, None), out)
 
 
 def _stitch_channel(cfg: PipelineConfig, ch: str, plan: _ChannelPlan, field, out: Path) -> None:

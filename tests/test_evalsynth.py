@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marmopipe import evalsynth
 from marmopipe.evalsynth import (
     PhantomSpec,
     background_tile_stream,
@@ -39,15 +40,26 @@ def desk_spec(**kw):
     return PhantomSpec(**base)
 
 
+def tile_records(tiles):
+    """Every tile's channel, placement, index and pixel bytes, in channel and list order."""
+    return [(ch, t.channel, t.world_offset, t.tile_index, t.pixels.tobytes())
+            for ch, tile_list in tiles.items() for t in tile_list]
+
+
 class TestGenerator:
-    def test_deterministic(self):
-        tiles_a, truth_a = generate_phantom(desk_spec())
-        tiles_b, truth_b = generate_phantom(desk_spec())
-        for ch in tiles_a:
-            for t, u in zip(tiles_a[ch], tiles_b[ch]):
-                assert np.array_equal(t.pixels, u.pixels)
-        assert np.array_equal(truth_a.tracer_signal, truth_b.tracer_signal)
-        assert np.array_equal(truth_a.cells, truth_b.cells)
+    def test_deterministic(self, monkeypatch):
+        spec = desk_spec(poisson=True)
+        tiles_a, truth_a = generate_phantom(spec)
+        expected = tile_records(tiles_a)
+        assert len(expected) == 3 * spec.n_sections * spec.grid_y * spec.grid_x
+        runs = [generate_phantom(spec)]
+        for workers in (1, 4):  # the bytes do not depend on the pool size
+            monkeypatch.setattr(evalsynth, "_tile_workers", lambda: workers)
+            runs.append(generate_phantom(spec))
+        for tiles_b, truth_b in runs:
+            assert tile_records(tiles_b) == expected
+            assert np.array_equal(truth_a.tracer_signal, truth_b.tracer_signal)
+            assert np.array_equal(truth_a.cells, truth_b.cells)
 
     def test_flat_zero_structures(self):
         spec = desk_spec(n_cells=0, n_axons=0, n_vessels=0, inj_amp=0.0)
