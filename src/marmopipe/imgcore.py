@@ -241,18 +241,23 @@ def _parse_pgm_header(blob: bytes):
     return width, height, pos + 1
 
 
+def _triple(cast):
+    """A cast of ``"a b c"`` to a 3-tuple; another count of values is a ``ValueError``."""
+    def read(text):
+        a, b, c = (cast(v) for v in text.split())
+        return a, b, c
+    return read
+
+
 def _read_sidecar(meta: Path) -> dict:
     fields = parse_records(meta.read_text(), meta)
-    try:
-        channel = fields["channel"]
-        ox, oy, oz = (float(v) for v in fields["offset_um"].split())
-        pitch = float(fields["pitch_um"])
-        index = int(fields["index"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"malformed sidecar {meta}: {exc}") from exc
+    channel = cast_record(fields, "channel", str, meta)
+    offset = cast_record(fields, "offset_um", _triple(float), meta)
+    pitch = cast_record(fields, "pitch_um", float, meta)
+    index = cast_record(fields, "index", int, meta)
     if channel not in CHANNELS:
-        raise FormatError(f"unknown channel tag {channel!r}")
-    return dict(channel=channel, world_offset=(ox, oy, oz), tile_index=index, pixel_pitch=pitch)
+        raise FormatError(f"{meta}: unknown channel tag {channel!r}")
+    return dict(channel=channel, world_offset=offset, tile_index=index, pixel_pitch=pitch)
 
 
 def read_tile(path) -> Tile2D:
@@ -325,18 +330,13 @@ def _write_header(hdr: Path, dims, voxel_size, dtype: str, channel: str) -> None
 def _read_header(hdr: Path):
     """``(dims, voxel_size, dtype, channel)`` of a stack header."""
     fields = parse_records(hdr.read_text(), hdr)
-    try:
-        nx, ny, nz = (int(v) for v in fields["dims"].split())
-        voxel = tuple(float(v) for v in fields["voxel_um"].split())
-        dtype = fields["dtype"]
-        channel = fields["channel"]
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"malformed header {hdr}: {exc}") from exc
+    dims = cast_record(fields, "dims", _triple(int), hdr)
+    voxel = cast_record(fields, "voxel_um", _triple(float), hdr)
+    dtype = cast_record(fields, "dtype", str, hdr)
+    channel = cast_record(fields, "channel", str, hdr)
     if dtype not in _STACK_DTYPES:
-        raise FormatError(f"unsupported dtype {dtype!r}")
-    if len(voxel) != 3:
-        raise FormatError("voxel_um needs three values")
-    return (nx, ny, nz), voxel, dtype, channel
+        raise FormatError(f"{hdr}: unsupported dtype {dtype!r}")
+    return dims, voxel, dtype, channel
 
 
 class StackWriter:

@@ -10,6 +10,10 @@ channel-first columns.  A 3x3 layer stacks the 9 shifted views of its
 (C, H, W) input as (C, 3, 3, Ho, Wo), read as the (C*9, Ho*Wo) column matrix
 (im2col); ``dx`` scatter-adds the columns' gradient back through the same
 views (col2im).  A 2x2 stride-2 up-convolution is (F*4, C) @ (C, H*W).
+
+Max pooling is one kernel for training and inference over the four stride-2
+views; it records each window's winning view only when given an array for it,
+as training is, whose backward routes the gradient by it.
 """
 
 from __future__ import annotations
@@ -79,39 +83,43 @@ def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dy * (x > 0)
 
 
-def maxpool2_forward(x: np.ndarray):
-    """2x2 max pooling (even extents); returns (y, argmax) for backprop."""
-    c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"pooling needs even extents, got {h}x{w}")
-    tiles = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    arg = tiles.argmax(axis=-1)
-    y = np.take_along_axis(tiles, arg[..., None], axis=-1)[..., 0]
-    return y, arg
+def _windows(a: np.ndarray) -> tuple:
+    """The four stride-2 views of ``a`` in window order: top left, top right, bottom
+    left, bottom right."""
+    return a[:, 0::2, 0::2], a[:, 0::2, 1::2], a[:, 1::2, 0::2], a[:, 1::2, 1::2]
 
 
-def maxpool2_values(x: np.ndarray) -> np.ndarray:
-    """The pooled values of ``maxpool2_forward``, bit for bit, without the argmax.
+def maxpool2_forward(x: np.ndarray, pick: np.ndarray | None = None) -> np.ndarray:
+    """2x2 max pooling (even extents); writes each window's pick into ``pick`` if given.
 
-    The four stride-2 views are taken in the argmax's order, and a later view replaces
-    the held value only where it is strictly greater, or NaN where the held value is
-    not: ties (+0 and -0 included) keep the first value and the first NaN wins, as
-    ``argmax`` picks them.  ``np.maximum`` would not: it may return -0 for a +0 first.
+    The four views are taken in window order, and a later view replaces the held value
+    only where it is strictly greater, or NaN where the held value is not: ties (+0 and
+    -0 included) keep the first value and the first NaN wins, as ``argmax`` picks them.
+    ``np.maximum`` would not: it may return -0 for a +0 first.  ``pick``, shaped like
+    the output, receives the index of the winning view, which ``maxpool2_backward``
+    routes the gradient by.
     """
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"pooling needs even extents, got {h}x{w}")
-    y = x[:, 0::2, 0::2].copy()
-    for view in (x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]):
-        np.copyto(y, view, where=~(view <= y) & (y == y))
+    first, *rest = _windows(x)
+    y = first.copy()
+    if pick is not None:
+        pick[...] = 0
+    for k, view in enumerate(rest, 1):
+        wins = ~(view <= y) & (y == y)
+        np.copyto(y, view, where=wins)
+        if pick is not None:
+            np.copyto(pick, k, where=wins)
     return y
 
 
-def maxpool2_backward(arg: np.ndarray, dy: np.ndarray, in_shape) -> np.ndarray:
-    c, h, w = in_shape
-    grads = np.zeros((c, h // 2, w // 2, 4), dtype=np.float64)
-    np.put_along_axis(grads, arg[..., None], dy[..., None], axis=-1)
-    return grads.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+def maxpool2_backward(pick: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    c, h, w = pick.shape
+    dx = np.zeros((c, 2 * h, 2 * w), dtype=dy.dtype)
+    for k, view in enumerate(_windows(dx)):
+        np.copyto(view, dy, where=pick == k)
+    return dx
 
 
 def upconv2_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

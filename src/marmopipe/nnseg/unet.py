@@ -7,6 +7,10 @@ up, and a 1x1 convolution + sigmoid head.  Feature counts double per level
 from ``base_features``.  At the reference scale (depth 4, base 64) a
 572x572 input yields a 484x484 output; the desk scale used throughout the
 tests is depth 2, base 8 (108 -> 92).
+
+The graph is spelled once, in ``UNet._walk``.  ``forward`` (training) passes it
+steps that record what ``backward`` needs; ``predict`` (inference) passes steps
+that record nothing, so a window holds only the live activations and skips.
 """
 
 from __future__ import annotations
@@ -164,22 +168,13 @@ def init_unet(
 
 class UNet:
     """Stateful forward/backward evaluator around a UNetParams bundle; ``predict`` is
-    the inference pass, which keeps no state."""
+    the inference pass, which keeps no state.  Both run the one walk of the graph."""
 
     def __init__(self, net: UNetParams):
         self.net = net
         self._cache = None
 
     # -- forward -----------------------------------------------------------
-
-    def _conv_block(self, name, x, cache):
-        p = self.net.params
-        for conv in (f"{name}_conv1", f"{name}_conv2"):
-            z = L.conv3x3_forward(x, p[f"{conv}_w"], p[f"{conv}_b"])
-            cache[f"{conv}_in"] = x
-            cache[f"{conv}_z"] = z
-            x = L.relu_forward(z)
-        return x
 
     def _entry(self, x: np.ndarray) -> np.ndarray:
         """The input as (channels, h, w) in the parameters' dtype, checked and scaled."""
@@ -195,55 +190,63 @@ class UNet:
             x = x * net.input_scale
         return x
 
+    def _walk(self, x: np.ndarray, conv, pool, keep) -> np.ndarray:
+        """The logits of the checked input ``x``.  The caller's steps each take a layer
+        name and its input: ``conv`` is a 3x3 conv with its ReLU (``enc{d}_conv1``...),
+        ``pool`` the max pooling into level ``d`` (``pool{d}``), and ``keep`` sees the
+        inputs of the up-convolutions (``dec{d}_up``) and of the 1x1 head (``out``).
+        Each skip is dropped once it is concatenated."""
+        depth, p = self.net.depth, self.net.params
+        skips = []
+        for d in range(depth):
+            if d > 0:
+                x = pool(f"pool{d}", x)
+            x = conv(f"enc{d}_conv2", conv(f"enc{d}_conv1", x))
+            if d < depth - 1:
+                skips.append(x)
+        for d in range(depth - 2, -1, -1):
+            keep(f"dec{d}_up", x)
+            x = L.upconv2_forward(x, p[f"dec{d}_up_w"], p[f"dec{d}_up_b"])
+            x = np.concatenate([L.center_crop(skips.pop(), x.shape[1], x.shape[2]), x], axis=0)
+            x = conv(f"dec{d}_conv2", conv(f"dec{d}_conv1", x))
+        keep("out", x)
+        return L.conv1x1_forward(x, p["out_w"], p["out_b"])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the network; returns the sigmoid saliency map (1, ho, wo).  Records
-        what ``backward`` needs."""
-        net = self.net
-        x = self._entry(x)
+        what ``backward`` needs: each layer's input as ``{name}_in``, each conv's
+        pre-activation as ``{name}_z`` and each pooling window's pick."""
+        p = self.net.params
         cache = {}
-        skips = []
-        for d in range(net.depth):
-            if d > 0:
-                cache[f"pool{d}_in_shape"] = x.shape
-                x, arg = L.maxpool2_forward(x)
-                cache[f"pool{d}_arg"] = arg
-            x = self._conv_block(f"enc{d}", x, cache)
-            if d < net.depth - 1:
-                skips.append(x)
-        for d in range(net.depth - 2, -1, -1):
-            cache[f"dec{d}_up_in"] = x
-            x = L.upconv2_forward(x, net.params[f"dec{d}_up_w"], net.params[f"dec{d}_up_b"])
-            skip = skips[d]
-            cropped = L.center_crop(skip, x.shape[1], x.shape[2])
-            cache[f"dec{d}_skip_shape"] = skip.shape
-            x = np.concatenate([cropped, x], axis=0)
-            x = self._conv_block(f"dec{d}", x, cache)
-        logits = L.conv1x1_forward(x, net.params["out_w"], net.params["out_b"])
-        cache["out_in"] = x
-        cache["logits"] = logits
+
+        def conv(name, x):
+            cache[f"{name}_in"] = x
+            z = cache[f"{name}_z"] = L.conv3x3_forward(x, p[f"{name}_w"], p[f"{name}_b"])
+            return L.relu_forward(z)
+
+        def pool(name, x):
+            c, h, w = x.shape
+            pick = cache[f"{name}_pick"] = np.empty((c, h // 2, w // 2), dtype=np.uint8)
+            return L.maxpool2_forward(x, pick)
+
+        def keep(name, x):
+            cache[f"{name}_in"] = x
+
+        logits = self._walk(self._entry(x), conv, pool, keep)
         self._cache = cache
         return L.sigmoid(logits)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """``forward``'s saliency map, bit for bit, for inference: nothing is recorded
-        for ``backward``, each conv applies its bias and ReLU in place and pooling
-        keeps no argmax."""
-        net, p = self.net, self.net.params
-        x = self._entry(x)
-        skips = []
-        for d in range(net.depth):
-            if d > 0:
-                x = L.maxpool2_values(x)
-            for conv in (f"enc{d}_conv1", f"enc{d}_conv2"):
-                x = L.conv3x3_relu_forward(x, p[f"{conv}_w"], p[f"{conv}_b"])
-            if d < net.depth - 1:
-                skips.append(x)
-        for d in range(net.depth - 2, -1, -1):
-            x = L.upconv2_forward(x, p[f"dec{d}_up_w"], p[f"dec{d}_up_b"])
-            x = np.concatenate([L.center_crop(skips.pop(), x.shape[1], x.shape[2]), x], axis=0)
-            for conv in (f"dec{d}_conv1", f"dec{d}_conv2"):
-                x = L.conv3x3_relu_forward(x, p[f"{conv}_w"], p[f"{conv}_b"])
-        return L.sigmoid(L.conv1x1_forward(x, p["out_w"], p["out_b"]))
+        for ``backward``, and each conv applies its bias and ReLU in place."""
+        p = self.net.params
+        logits = self._walk(
+            self._entry(x),
+            conv=lambda name, x: L.conv3x3_relu_forward(x, p[f"{name}_w"], p[f"{name}_b"]),
+            pool=lambda name, x: L.maxpool2_forward(x),
+            keep=lambda name, x: None,
+        )
+        return L.sigmoid(logits)
 
     # -- backward ----------------------------------------------------------
 
@@ -251,41 +254,26 @@ class UNet:
         cache, p = self._cache, self.net.params
         for conv in (f"{name}_conv2", f"{name}_conv1"):
             dz = L.relu_backward(cache[f"{conv}_z"], dy)
-            dy, dw, db = L.conv3x3_backward(cache[f"{conv}_in"], p[f"{conv}_w"], dz)
-            grads[f"{conv}_w"] = dw
-            grads[f"{conv}_b"] = db
+            dy, grads[f"{conv}_w"], grads[f"{conv}_b"] = L.conv3x3_backward(
+                cache[f"{conv}_in"], p[f"{conv}_w"], dz)
         return dy
 
     def backward(self, dlogits: np.ndarray) -> dict:
         """Parameter gradients given the loss gradient wrt the logits."""
         if self._cache is None:
             raise RuntimeError("backward called without a preceding forward pass")
-        cache, net = self._cache, self.net
-        grads = {}
-        dy, dw, db = L.conv1x1_backward(cache["out_in"], net.params["out_w"], dlogits)
-        grads["out_w"] = dw
-        grads["out_b"] = db
+        cache, net, p = self._cache, self.net, self.net.params
+        grads, dskips = {}, []
+        dy, grads["out_w"], grads["out_b"] = L.conv1x1_backward(cache["out_in"], p["out_w"], dlogits)
         for d in range(net.depth - 1):
             dy = self._conv_block_backward(f"dec{d}", dy, grads)
             c_skip = net.feature_count(d)
-            dskip_c, dup = dy[:c_skip], dy[c_skip:]
-            sk_c, sk_h, sk_w = cache[f"dec{d}_skip_shape"]
-            oh, ow = dskip_c.shape[1], dskip_c.shape[2]
-            dskip = np.zeros((sk_c, sk_h, sk_w), dtype=np.float64)
-            y0, x0 = (sk_h - oh) // 2, (sk_w - ow) // 2
-            dskip[:, y0:y0 + oh, x0:x0 + ow] = dskip_c
-            dx, dw, db = L.upconv2_backward(
-                cache[f"dec{d}_up_in"], net.params[f"dec{d}_up_w"], dup
-            )
-            grads[f"dec{d}_up_w"] = dw
-            grads[f"dec{d}_up_b"] = db
-            cache[f"dec{d}_dskip"] = dskip
-            dy = dx
+            dskips.append(np.zeros(cache[f"enc{d}_conv2_z"].shape))
+            L.center_crop(dskips[d], dy.shape[1], dy.shape[2])[...] = dy[:c_skip]
+            dy, grads[f"dec{d}_up_w"], grads[f"dec{d}_up_b"] = L.upconv2_backward(
+                cache[f"dec{d}_up_in"], p[f"dec{d}_up_w"], dy[c_skip:])
         for d in range(net.depth - 1, -1, -1):
             dy = self._conv_block_backward(f"enc{d}", dy, grads)
             if d > 0:
-                dy = L.maxpool2_backward(
-                    cache[f"pool{d}_arg"], dy, cache[f"pool{d}_in_shape"]
-                )
-                dy = dy + cache[f"dec{d - 1}_dskip"]
+                dy = L.maxpool2_backward(cache[f"pool{d}_pick"], dy) + dskips[d - 1]
         return grads

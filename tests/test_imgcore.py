@@ -337,11 +337,20 @@ class TestFileSets:
         ("table", r"outside_src=\S+", "outside_src=zero", "outside_src"),
         ("manifest", r"depth=\d+\n", "", "depth"),
         ("spec", r"n_cells=\d+", "n_cells=x", "n_cells"),
-    ], ids=["table", "manifest", "spec"])
+        ("sidecar", r"index=\d+", "index=x", "index"),
+        ("header", r"dims=\d+ \d+ \d+", "dims=2 x 1", "dims"),
+    ], ids=["table", "manifest", "spec", "sidecar", "header"])
     def test_value_that_does_not_read_names_file_and_key(self, tmp_path, kind, old, new, key):
-        """A table header value that is not a number, a manifest without ``depth=`` and a
-        spec with ``n_cells=x`` name the file and the key they could not read."""
-        if kind == "table":
+        """A table header value that is not a number, a manifest without ``depth=``, a
+        spec with ``n_cells=x``, a tile sidecar with ``index=x`` and a stack header with
+        ``dims=2 x 1`` name the file and the key they could not read."""
+        if kind == "sidecar":
+            write_tile(make_tile(np.zeros((4, 4))), tmp_path / "t")
+            path, read = tmp_path / "t.meta", read_tile
+        elif kind == "header":
+            write_stack(Stack3D(np.zeros((1, 2, 2)), (1.0, 1.0, 1.0)), tmp_path / "s")
+            path, read = tmp_path / "s.hdr", read_stack
+        elif kind == "table":
             mapping.ConnectivityTable("b", "i", sources={1: 2.0}, targets={1: 3.0}).save(
                 tmp_path / "t.txt")
             path, read = tmp_path / "t.txt", mapping.ConnectivityTable.load

@@ -9,12 +9,36 @@ from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
 
+# inference on a tiny float32 model, traced; prints the conv counter and span
+INFERENCE_CONVS = """
+import numpy as np
+import tracing
+tracer = tracing.install(False)
+from marmopipe import nnseg
+net = nnseg.init_unet(2, 4, 1, seed=0).astype(np.float32)
+nnseg.sliding_window_predict(net, np.random.default_rng(0).random((40, 40)))
+print(tracer.counts["nnseg.conv3x3_flop"], tracer.layer_metrics()["nnseg.conv3x3_forward.s"])
+"""
+
+
+def _traced_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench")))
+    return subprocess.run([sys.executable, "-c", code],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+
 
 def test_tracing_install_finds_every_hooked_function():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench")))
-    result = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(False)"],
-                            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    result = _traced_python("import tracing; tracing.install(False)")
     assert result.returncode == 0, result.stderr
+
+
+def test_inference_convs_reach_the_conv_counter():
+    """Inference convs go through the wrapped ``conv3x3_forward``, so a traced pipeline
+    counts their flops and time; a conv kernel that bypassed it would read 0."""
+    result = _traced_python(INFERENCE_CONVS)
+    assert result.returncode == 0, result.stderr
+    flop, seconds = (float(v) for v in result.stdout.split())
+    assert flop > 0 and seconds > 0, result.stdout
 
 
 def test_smoke_run_counts_through_the_package_helpers():

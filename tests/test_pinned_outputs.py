@@ -12,6 +12,11 @@ The first two manifests hold the sha256 of every file ``run_pipeline`` writes fo
 ``write_tile`` and ``GroundTruth.save`` write for ``small_spec(poisson=True,
 vignette_corner=0.6)``, so it pins the generator's Poisson draws and vignette.
 
+``pinned_train.json`` holds, in place of files, the sha256 of every float64
+parameter and of the loss history after two seeded 30-step ``nnseg.train`` runs
+(depth 2 with two input channels, depth 3 with one), so it pins the training
+forward and backward bits.
+
 Left out are ``report.txt`` (seconds) and ``stages.json``, whose keys hash the run's
 own paths and the tiles' mtimes.  A change that alters output bytes on purpose
 regenerates the manifest it moves, named as in ``RUNS``, and says why in CHANGES.md::
@@ -28,6 +33,7 @@ its test skips only under another numpy (whose Poisson sampler may differ).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -78,12 +84,34 @@ def pinned_phantom(root: Path) -> dict[str, str]:
             for name, digest in file_digests(root / sub, skip=()).items()}
 
 
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+def pinned_train(root: Path) -> dict[str, str]:
+    digests = {}
+    for depth, channels, n in ((2, 2, 52), (3, 1, 68)):
+        rng = np.random.default_rng(depth)
+        samples = []
+        for _ in range(3):
+            x = rng.uniform(0, 4000, (channels, n, n))
+            samples.append(nnseg.TrainingSample(input=x, label=x[0] > 3000,
+                                                weight=rng.random((n, n)) + 0.5))
+        net = nnseg.init_unet(depth, 4, channels, seed=depth, input_scale=1 / 2000)
+        trained, history = nnseg.train(net, samples, steps=30, learning_rate=0.05, seed=depth)
+        digests.update({f"depth{depth}/{name}": _sha256(value)
+                        for name, value in trained.params.items()})
+        digests[f"depth{depth}/loss"] = _sha256(history)
+    return digests
+
+
 HERE = Path(__file__).parent
 # name: (manifest, run, the builds() keys its bits depend on)
 RUNS = {
     "threshold": (HERE / "pinned_outputs.json", pinned_run, ("numpy",)),
     "unet": (HERE / "pinned_outputs_unet.json", pinned_unet_run, ("numpy", "blas")),
     "phantom": (HERE / "pinned_phantom.json", pinned_phantom, ("numpy",)),
+    "train": (HERE / "pinned_train.json", pinned_train, ("numpy", "blas")),
 }
 
 
@@ -110,6 +138,10 @@ def test_unet_run_dir_matches_pinned_manifest(tmp_path):
 
 def test_phantom_matches_pinned_manifest(tmp_path):
     check_manifest("phantom", tmp_path)
+
+
+def test_training_matches_pinned_manifest(tmp_path):
+    check_manifest("train", tmp_path)
 
 
 if __name__ == "__main__":
